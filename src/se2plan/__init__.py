@@ -12,11 +12,9 @@ from .optimize import (OptOutcome, Weights, r2_cost, r2_optimize, se2_cost,
 from .pipeline import PlanConfig, PlanResult, SpliceError, plan, splice
 from .sequence import (MotionSequence, MotionState, SubProblem, extract_subproblems,
                        generate_sequence, safe_yaw, seg_adjust)
-from .shape import (BodyEsdf, GeometryError, RobotKernel, RobotShape, body_sdf,
-                    build_body_esdf, build_kernel, inscribed_radius, kernel_collides,
-                    parse_shape, rectangle, sdf_gradient_world)
-from .sweep import (CollisionReport, SweptQueryResult, continuous_check,
-                    swept_boundary_samples, swept_sdf)
+from .shape import (GeometryError, RobotKernel, RobotShape, build_kernel, inscribed_radius,
+                    kernel_collides, parse_shape, rectangle, sdf_gradient_world)
+from .sweep import CollisionReport, continuous_check, swept_boundary_samples, swept_sdf_batch
 from .topo import (InfeasibleEndpointError, Se2Path, Se2Waypoint, build_roadmap,
                    dedup_paths, extract_paths, orientation_interp, push_away,
                    shortcut, uvd_equivalent)
@@ -30,11 +28,11 @@ __all__ = [
     "PlanConfig", "PlanResult", "SpliceError", "plan", "splice",
     "MotionSequence", "MotionState", "SubProblem", "extract_subproblems",
     "generate_sequence", "safe_yaw", "seg_adjust",
-    "BodyEsdf", "GeometryError", "RobotKernel", "RobotShape", "body_sdf",
-    "build_body_esdf", "build_kernel", "inscribed_radius", "kernel_collides",
-    "parse_shape", "rectangle", "sdf_gradient_world",
-    "CollisionReport", "SweptQueryResult", "continuous_check",
-    "swept_boundary_samples", "swept_sdf",
+    "GeometryError", "RobotKernel", "RobotShape", "build_kernel",
+    "inscribed_radius", "kernel_collides", "parse_shape", "rectangle",
+    "sdf_gradient_world",
+    "CollisionReport", "continuous_check", "swept_boundary_samples",
+    "swept_sdf_batch",
     "InfeasibleEndpointError", "Se2Path", "Se2Waypoint", "build_roadmap",
     "dedup_paths", "extract_paths", "orientation_interp", "push_away",
     "shortcut", "uvd_equivalent",

@@ -203,8 +203,8 @@ def bench(config_dir, reps: int, out_dir=None, clock=time.perf_counter) -> int:
     out_dir = Path(out_dir) if out_dir is not None else config_dir / "bench_out"
     out_dir.mkdir(parents=True, exist_ok=True)
     aggregate: dict[str, object] = {}
-    stat_keys = ("time.path_refine", "time.r2", "time.se2", "time.total",
-                 "len.r2", "len.se2", "len.total")
+    stat_keys = ("time.path_refine", "time.r2", "time.se2", "time.certify",
+                 "time.total", "len.r2", "len.se2", "len.total")
     for cfg_path in configs:
         name = cfg_path.stem
         runs = []

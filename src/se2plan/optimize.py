@@ -17,7 +17,7 @@ from scipy.special import expit
 from . import minco
 from .gridmap import OccupancyGrid, extract_obstacles
 from .minco import MincoSpline, Trajectory, basis_many
-from .shape import BodyEsdf, RobotShape
+from .shape import RobotShape
 from .sweep import continuous_check
 
 _QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -246,8 +246,7 @@ def _safety_penalty(traj: Trajectory, weights: Weights, shape: RobotShape,
 
 
 def se2_cost(traj: Trajectory, weights: Weights, shape: RobotShape,
-             esdf: BodyEsdf | None, obstacles: np.ndarray,
-             n_safety_samples: int = _SAFETY_SAMPLES):
+             obstacles: np.ndarray, n_safety_samples: int = _SAFETY_SAMPLES):
     """Weighted SE(2) cost and its partials w.r.t. coefficients and durations.
 
     Returns (cost, terms, grad_c (M,6,m), grad_T (M,)).
@@ -426,7 +425,8 @@ def _run_solver(spline: MincoSpline, waypoints0, durations0, stages, budget: int
     """Solve min cost over (waypoints, durations) through one or more cost
     stages, warm-starting each stage from the previous solution.  When an
     `accept` predicate is given, later stages (typically with escalated
-    penalty weights) run only while it rejects the current trajectory.
+    penalty weights) run only while it rejects the current trajectory, and
+    its verdict on the returned trajectory is returned (None without one).
     Reported terms always come from the first stage's cost."""
     m = spline.n_pieces
     dim = spline.dim
@@ -452,19 +452,22 @@ def _run_solver(spline: MincoSpline, waypoints0, durations0, stages, budget: int
     iters = 0
     converged = False
     traj = None
+    accepted = None
     for cost_fn in stages:
         x, _, it, converged = lbfgs(make_objective(cost_fn), x, max_iter=budget)
         iters += it
         q, t = unpack(x)
         traj = spline.set_params(q, t)
-        if accept is not None and accept(traj):
-            break
+        if accept is not None:
+            accepted = accept(traj)
+            if accepted:
+                break
     _, terms, _, _ = stages[0](traj)
-    return traj, terms, iters, converged
+    return traj, terms, iters, converged, accepted
 
 
-def se2_optimize(sub, weights: Weights, shape: RobotShape, esdf: BodyEsdf,
-                 kernel, grid: OccupancyGrid, budget: int = 150,
+def se2_optimize(sub, weights: Weights, shape: RobotShape, kernel,
+                 grid: OccupancyGrid, budget: int = 150,
                  max_waypoints: int = 9, obstacle_cap: int = 512) -> OptOutcome:
     """Optimize one high-risk sub-problem in full SE(2) with swept-volume
     safety; the outcome's collision_free flag is set by an independent
@@ -483,7 +486,7 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, esdf: BodyEsdf,
     def make_stage(w):
         def cost_fn(traj):
             # quadrature guidance only; the continuous check below stays strict
-            return se2_cost(traj, w, shape, esdf, obstacles)
+            return se2_cost(traj, w, shape, obstacles)
         return cost_fn
 
     # escalate the safety weight while the strict check keeps failing; the
@@ -494,12 +497,11 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, esdf: BodyEsdf,
         stages.append(make_stage(replace(weights, lam_s=weights.lam_s * boost)))
 
     def accept(traj):
-        return continuous_check(traj, shape, esdf, grid, margin=0.0).clear
+        return continuous_check(traj, shape, grid, margin=0.0).clear
 
-    traj, terms, iters, converged = _run_solver(spline, wps, durs, stages, budget,
-                                                accept=accept)
-    report = continuous_check(traj, shape, esdf, grid, margin=0.0)
-    return OptOutcome(traj, converged, terms, iters, collision_free=report.clear)
+    traj, terms, iters, converged, clear = _run_solver(spline, wps, durs, stages, budget,
+                                                       accept=accept)
+    return OptOutcome(traj, converged, terms, iters, collision_free=clear)
 
 
 def r2_optimize(sub, weights: Weights, kernel=None, budget: int = 100,
@@ -517,7 +519,7 @@ def r2_optimize(sub, weights: Weights, kernel=None, budget: int = 100,
     def cost_fn(traj):
         return r2_cost(traj, weights, positions, yaws, fractions)
 
-    traj, terms, iters, converged = _run_solver(spline, wps, durs, [cost_fn], budget)
+    traj, terms, iters, converged, _ = _run_solver(spline, wps, durs, [cost_fn], budget)
     return OptOutcome(traj, converged, terms, iters, collision_free=None)
 
 

@@ -16,8 +16,7 @@ from .gridmap import OccupancyGrid, inflate
 from .minco import NCOEF, Trajectory, basis
 from .optimize import DegenerateInputError, OptOutcome, Weights, r2_optimize, se2_optimize
 from .sequence import SubProblem, extract_subproblems, generate_sequence
-from .shape import (RobotShape, build_body_esdf, build_kernel, inscribed_radius,
-                    kernel_collides, rotation)
+from .shape import RobotShape, build_kernel, inscribed_radius, kernel_collides, rotation
 from .sweep import CollisionReport, continuous_check
 from .topo import (InfeasibleEndpointError, build_roadmap, dedup_paths, extract_paths,
                    shortcut, simplify_path)
@@ -40,7 +39,6 @@ class PlanConfig:
     se2_budget: int = 300
     r2_budget: int = 100
     max_waypoints: int = 9
-    esdf_resolution: float | None = None  # defaults to map resolution / 2
     weights: Weights = field(default_factory=Weights)
     seed: int = 0
 
@@ -159,23 +157,27 @@ def _sub_slice(traj: Trajectory, piece_counts: list[int], index: int) -> Traject
 
 
 def _kind_lengths(traj: Trajectory, kinds: list[str], piece_counts: list[int]):
+    """(R^2 length, SE(2) length) of a spliced trajectory; an R2-reoptimized
+    sub was solved by the SE(2) optimizer, so its length counts as SE(2)."""
     len_r2 = len_se2 = 0.0
     for i, kind in enumerate(kinds):
         length = _sub_slice(traj, piece_counts, i).arc_length()
-        if kind == "SE2":
-            len_se2 += length
-        else:
+        if kind == "R2":
             len_r2 += length
+        else:
+            len_se2 += length
     return len_r2, len_se2
 
 
 def _metrics(status: str, t_total: float, t_refine: float, t_r2: float, t_se2: float,
-             tried: int, survived: int, len_r2: float = 0.0, len_se2: float = 0.0) -> dict:
+             t_certify: float, tried: int, survived: int, len_r2: float = 0.0,
+             len_se2: float = 0.0) -> dict:
     return {
         "status": status,
         "time.path_refine": t_refine,
         "time.r2": t_r2,
         "time.se2": t_se2,
+        "time.certify": t_certify,
         "time.total": t_total,
         "len.r2": len_r2,
         "len.se2": len_se2,
@@ -198,15 +200,13 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     weights = config.weights
     result = PlanResult(status="no-path")
 
-    def finish(t_refine=0.0, t_r2=0.0, t_se2=0.0, tried=0, survived=0,
+    def finish(t_refine=0.0, t_r2=0.0, t_se2=0.0, t_certify=0.0, tried=0, survived=0,
                len_r2=0.0, len_se2=0.0):
-        result.metrics = _metrics(result.status, clock() - t_begin, t_refine,
-                                  t_r2, t_se2, tried, survived, len_r2, len_se2)
+        result.metrics = _metrics(result.status, clock() - t_begin, t_refine, t_r2,
+                                  t_se2, t_certify, tried, survived, len_r2, len_se2)
         return result
 
     r_in = inscribed_radius(shape)
-    esdf_res = config.esdf_resolution or grid.resolution / 2
-    esdf = build_body_esdf(shape, esdf_res, padding=max(4 * esdf_res, 2 * grid.resolution))
     kernel = build_kernel(shape, config.n_orientations, grid.resolution)
     start_pose = np.asarray(start_pose, dtype=float)
     goal_pose = np.asarray(goal_pose, dtype=float)
@@ -235,9 +235,9 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     sequences = []
     for i, cand in enumerate(candidates):
         try:
-            se2_path = shortcut(cand, shape, esdf, grid, kernel=kernel, inflated=inflated,
-                                margin=margin, max_attempts=config.push_attempts)
-            seq = generate_sequence(se2_path, shape, esdf, kernel, grid,
+            se2_path = shortcut(cand, shape, grid, inflated=inflated, margin=margin,
+                                max_attempts=config.push_attempts)
+            seq = generate_sequence(se2_path, shape, kernel, grid,
                                     search_range=config.search_range,
                                     max_depth=config.seg_adjust_depth, source_path_id=i)
             sequences.append(seq)
@@ -247,6 +247,15 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
 
     time_se2 = 0.0
     time_r2 = 0.0
+    time_certify = 0.0
+
+    def certify(traj):
+        nonlocal time_certify
+        t1 = clock()
+        report = continuous_check(traj, shape, grid, margin=0.0)
+        time_certify += clock() - t1
+        return report
+
     survivors = []
     occupied = grid.occupied_centers()
 
@@ -272,7 +281,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
             out = None
             try:
                 if sub.kind == "SE2":
-                    out = se2_optimize(sub, weights, shape, esdf, kernel, grid,
+                    out = se2_optimize(sub, weights, shape, kernel, grid,
                                        budget=config.se2_budget,
                                        max_waypoints=config.max_waypoints)
                 else:
@@ -303,11 +312,16 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         except SpliceError as e:
             result.failures.append(f"candidate {seq.source_path_id}: splice failure: {e}")
             continue
-        t1 = clock()
-        spliced, kinds, piece_counts, report, err = _certify_and_repair(
-            spliced, kinds, piece_counts, ordered, weights, shape, esdf, kernel,
-            grid, config)
-        time_se2 += clock() - t1
+        report = certify(spliced)
+        err = None
+        if not report.clear:
+            t1 = clock()
+            spliced, kinds, piece_counts, err = _repair(
+                spliced, kinds, piece_counts, ordered, report, weights, shape, kernel,
+                grid, config)
+            time_se2 += clock() - t1  # repair solves are SE(2) optimization
+            if not err and not (report := certify(spliced)).clear:
+                err = "still unsafe after one re-optimization round"
         if err:
             result.failures.append(f"candidate {seq.source_path_id}: {err}")
             continue
@@ -316,7 +330,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
 
     if not survivors:
         result.status = "all-candidates-failed" if sequences else "no-path"
-        return finish(t_refine, time_r2, time_se2, tried=len(sequences))
+        return finish(t_refine, time_r2, time_se2, time_certify, tried=len(sequences))
     survivors.sort(key=lambda s: (s[0], s[1]))
     _, _, traj, kinds, piece_counts, report = survivors[0]
     result.status = "success"
@@ -326,17 +340,15 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     result.certificate = report
     result.survivor_provenance = [list(s[3]) for s in survivors]
     len_r2, len_se2 = _kind_lengths(traj, kinds, piece_counts)
-    return finish(t_refine, time_r2, time_se2, tried=len(sequences),
+    return finish(t_refine, time_r2, time_se2, time_certify, tried=len(sequences),
                   survived=len(survivors), len_r2=len_r2, len_se2=len_se2)
 
 
-def _certify_and_repair(spliced, kinds, piece_counts, outcomes, weights, shape,
-                        esdf, kernel, grid, config):
-    """Final continuous check; unsafe R2-originated pieces get one SE(2)
-    re-optimization round, unsafe SE(2) pieces fail the candidate."""
-    report = continuous_check(spliced, shape, esdf, grid, margin=0.0)
-    if report.clear:
-        return spliced, kinds, piece_counts, report, None
+def _repair(spliced, kinds, piece_counts, outcomes, report, weights, shape, kernel,
+            grid, config):
+    """One repair round for a failed certificate: unsafe R2-originated pieces
+    are re-optimized in SE(2) and re-spliced, unsafe SE(2) pieces fail the
+    candidate.  Returns (spliced, kinds, piece_counts, error or None)."""
     spans = []
     t = 0.0
     start = 0
@@ -356,22 +368,19 @@ def _certify_and_repair(spliced, kinds, piece_counts, outcomes, weights, shape,
     for i in sorted(unsafe):
         sub, _ = outcomes[i]
         if sub.kind == "SE2":
-            return spliced, kinds, piece_counts, report, "SE2-originated piece unsafe after splice"
+            return spliced, kinds, piece_counts, "SE2-originated piece unsafe after splice"
         try:
-            out = se2_optimize(sub, weights, shape, esdf, kernel, grid,
+            out = se2_optimize(sub, weights, shape, kernel, grid,
                                budget=config.se2_budget, max_waypoints=config.max_waypoints)
         except DegenerateInputError as e:
-            return spliced, kinds, piece_counts, report, f"re-optimization degenerate: {e}"
+            return spliced, kinds, piece_counts, f"re-optimization degenerate: {e}"
         if not out.collision_free:
-            return spliced, kinds, piece_counts, report, "R2 piece re-optimization failed"
+            return spliced, kinds, piece_counts, "R2 piece re-optimization failed"
         new_trajs[i] = out.trajectory
         kinds[i] = "R2-reoptimized"
         piece_counts[i] = out.trajectory.n_pieces
     try:
-        spliced2 = splice(_align_yaw(new_trajs))
+        spliced = splice(_align_yaw(new_trajs))
     except SpliceError as e:
-        return spliced, kinds, piece_counts, report, f"splice failure after repair: {e}"
-    report2 = continuous_check(spliced2, shape, esdf, grid, margin=0.0)
-    if not report2.clear:
-        return spliced2, kinds, piece_counts, report2, "still unsafe after one re-optimization round"
-    return spliced2, kinds, piece_counts, report2, None
+        return spliced, kinds, piece_counts, f"splice failure after repair: {e}"
+    return spliced, kinds, piece_counts, None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridmap import OccupancyGrid
-from .shape import BodyEsdf, RobotKernel, RobotShape, kernel_collides
+from .shape import RobotKernel, RobotShape, kernel_collides
 from .topo import Se2Path, discretize_polyline, push_away
 
 LOW_RISK = "LowRisk"
@@ -83,9 +83,9 @@ def _tangent_index(kernel: RobotKernel, pts: np.ndarray, i: int) -> int:
     return _heading_index(kernel, pts[lo], pts[hi])
 
 
-def seg_adjust(seg_start, seg_end, shape: RobotShape, esdf: BodyEsdf,
-               kernel: RobotKernel, grid: OccupancyGrid, max_depth: int = 4,
-               search_range: int = 4, margin: float | None = None):
+def seg_adjust(seg_start, seg_end, shape: RobotShape, kernel: RobotKernel,
+               grid: OccupancyGrid, max_depth: int = 4, search_range: int = 4,
+               margin: float | None = None):
     """Recursive segment repair.
 
     At the first discretized point with no safe orientation, push the point
@@ -110,26 +110,25 @@ def seg_adjust(seg_start, seg_end, shape: RobotShape, esdf: BodyEsdf,
         return None
     k0 = _tangent_index(kernel, pts, bad)
     yaw0 = kernel.yaw_of(k0)
-    new_pos, _, safe, _ = push_away(shape, esdf, pts[bad], yaw0, grid, margin)
+    new_pos, _, safe, _ = push_away(shape, pts[bad], yaw0, grid, margin)
     if not safe:
         return None
     if (np.linalg.norm(new_pos - seg_start) < 1e-9
             or np.linalg.norm(new_pos - seg_end) < 1e-9):
         return None
-    left = seg_adjust(seg_start, new_pos, shape, esdf, kernel, grid, max_depth - 1,
+    left = seg_adjust(seg_start, new_pos, shape, kernel, grid, max_depth - 1,
                       search_range, margin)
     if left is None:
         return None
-    right = seg_adjust(new_pos, seg_end, shape, esdf, kernel, grid, max_depth - 1,
+    right = seg_adjust(new_pos, seg_end, shape, kernel, grid, max_depth - 1,
                        search_range, margin)
     if right is None:
         return None
     return np.vstack([left, right[1:]])
 
 
-def generate_sequence(path: Se2Path, shape: RobotShape, esdf: BodyEsdf,
-                      kernel: RobotKernel, grid: OccupancyGrid,
-                      search_range: int = 4, max_depth: int = 4,
+def generate_sequence(path: Se2Path, shape: RobotShape, kernel: RobotKernel,
+                      grid: OccupancyGrid, search_range: int = 4, max_depth: int = 4,
                       source_path_id: int = 0) -> MotionSequence:
     """Convert a topological SE(2) path to a dense risk-labeled sequence.
 
@@ -159,7 +158,7 @@ def generate_sequence(path: Se2Path, shape: RobotShape, esdf: BodyEsdf,
             if free:
                 emplace(buffer, p, free[0], LOW_RISK)
                 continue
-            adjusted = seg_adjust(a.position, b.position, shape, esdf, kernel, grid,
+            adjusted = seg_adjust(a.position, b.position, shape, kernel, grid,
                                   max_depth, search_range)
             if adjusted is not None:
                 buffer = []

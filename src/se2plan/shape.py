@@ -1,6 +1,6 @@
-"""Robot geometry: simple-polygon footprint, signed distance queries,
-body-frame signed distance grid, and the per-orientation rasterized kernel
-used for fast occupancy convolution checks.
+"""Robot geometry: simple-polygon footprint, exact signed distance queries,
+and the per-orientation rasterized kernel used for fast occupancy convolution
+checks.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from .gridmap import OccupancyGrid
 
 class GeometryError(ValueError):
     """Raised for invalid robot shapes."""
-
-
-class OutOfWindowError(ValueError):
-    """Raised when a body-frame query falls outside the ESDF window."""
 
 
 _BOUNDARY_TOL = 1e-12
@@ -41,7 +37,8 @@ def polygon_sdf_gradient(vertices: np.ndarray, q):
     """Signed distance and its steepest-ascent gradient.
 
     The gradient points from the closest boundary point toward the query when
-    outside, and toward the boundary when inside.  Returns (f, g) with shapes
+    outside, and toward the boundary when inside; exactly on the boundary it
+    is the closest edge's outward normal.  Returns (f, g) with shapes
     (...,) and (..., 2).
     """
     q = np.asarray(q, dtype=float)
@@ -67,13 +64,21 @@ def polygon_sdf_gradient(vertices: np.ndarray, q):
     up = (ay <= y[:, None]) & (by > y[:, None]) & (left > 0)
     down = (ay > y[:, None]) & (by <= y[:, None]) & (left < 0)
     wn = np.sum(up.astype(int) - down.astype(int), axis=1)
-    inside = (wn != 0) & (d > _BOUNDARY_TOL)
+    on = d <= _BOUNDARY_TOL
+    inside = (wn != 0) & ~on
     sign = np.where(inside, -1.0, 1.0)
     f = sign * d
-    f[d <= _BOUNDARY_TOL] = 0.0
+    f[on] = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         g = sign[:, None] * (pts - cp) / np.maximum(d, 1e-300)[:, None]
-    g[d <= _BOUNDARY_TOL] = 0.0
+    if np.any(on):
+        # on the boundary, report the gradient's limit from outside: the
+        # closest edge's outward normal (a zero here stalls any descent that
+        # lands a point exactly on an edge)
+        area2 = np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])  # twice the signed area
+        e_on = e[best[on]]
+        g[on] = (np.sign(area2) * np.stack([e_on[:, 1], -e_on[:, 0]], axis=1)
+                 / np.sqrt(e_len2[best[on]])[:, None])
     if single:
         return float(f[0]), g[0]
     return f.reshape(q.shape[:-1]), g.reshape(q.shape)
@@ -186,107 +191,19 @@ def inscribed_radius(shape: RobotShape) -> float:
     return float(-d)
 
 
-def body_sdf(shape: RobotShape, q):
-    """Signed distance in the body frame; negative inside the robot."""
-    return shape.sdf(q)
+def sdf_gradient_world(shape: RobotShape, x_obs, position, yaw: float):
+    """Composed SDF values and world-frame gradients at obstacle points.
 
-
-@dataclass(frozen=True)
-class BodyEsdf:
-    """Signed distance sampled on a body-frame grid covering the polygon plus
-    padding.  values[iy, ix] is the SDF at the center of cell (ix, iy);
-    window_origin is the world... body-frame coordinate of the corner of
-    cell (0, 0)."""
-
-    resolution: float
-    window_origin: np.ndarray  # (2,)
-    values: np.ndarray  # (H, W)
-
-    def __post_init__(self):
-        object.__setattr__(self, "window_origin", np.asarray(self.window_origin, dtype=float))
-        vals = np.asarray(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def shape_hw(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def _frac_index(self, q) -> np.ndarray:
-        # continuous index into the cell-center lattice
-        return (np.asarray(q, dtype=float) - self.window_origin) / self.resolution - 0.5
-
-    def contains(self, q) -> np.ndarray:
-        """True where bilinear interpolation at q is supported (inside the
-        convex hull of cell centers)."""
-        u = self._frac_index(q)
-        h, w = self.values.shape
-        return np.all((u >= 0) & (u <= [w - 1, h - 1]), axis=-1)
-
-    def interp(self, q):
-        """Bilinearly interpolated SDF value at body-frame point(s) q."""
-        v, _ = self.interp_with_gradient(q)
-        return v
-
-    def interp_with_gradient(self, q):
-        """Bilinear value and the in-cell gradient of the interpolant.
-
-        The gradient is the exact derivative of the interpolated value, so it
-        is consistent with finite differences of interp() at sub-cell steps.
-        """
-        q = np.asarray(q, dtype=float)
-        single = q.ndim == 1
-        u = self._frac_index(q).reshape(-1, 2)
-        h, w = self.values.shape
-        if np.any((u < -1e-9) | (u > [w - 1 + 1e-9, h - 1 + 1e-9])):
-            raise OutOfWindowError("query outside the body ESDF window")
-        ix = np.clip(np.floor(u[:, 0]).astype(int), 0, w - 2)
-        iy = np.clip(np.floor(u[:, 1]).astype(int), 0, h - 2)
-        fx = u[:, 0] - ix
-        fy = u[:, 1] - iy
-        v00 = self.values[iy, ix]
-        v10 = self.values[iy, ix + 1]
-        v01 = self.values[iy + 1, ix]
-        v11 = self.values[iy + 1, ix + 1]
-        val = v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy) + v01 * (1 - fx) * fy + v11 * fx * fy
-        gx = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / self.resolution
-        gy = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / self.resolution
-        g = np.stack([gx, gy], axis=-1)
-        if single:
-            return float(val[0]), g[0]
-        return val.reshape(q.shape[:-1]), g.reshape(q.shape)
-
-
-def build_body_esdf(shape: RobotShape, resolution: float, padding: float) -> BodyEsdf:
-    """Sample the polygon SDF on a grid over the AABB expanded by padding."""
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    if padding < resolution:
-        raise ValueError("padding must be >= resolution")
-    lo = shape.vertices.min(axis=0) - padding
-    hi = shape.vertices.max(axis=0) + padding
-    nx = int(np.ceil((hi[0] - lo[0]) / resolution))
-    ny = int(np.ceil((hi[1] - lo[1]) / resolution))
-    xs = lo[0] + (np.arange(nx) + 0.5) * resolution
-    ys = lo[1] + (np.arange(ny) + 0.5) * resolution
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    vals = polygon_sdf(shape.vertices, pts).reshape(ny, nx)
-    return BodyEsdf(resolution=resolution, window_origin=lo, values=vals)
-
-
-def sdf_gradient_world(esdf: BodyEsdf, x_obs, position, yaw: float):
-    """Composed SDF value and world-frame gradient at an obstacle point.
-
-    Transforms x_obs into the body frame at (position, yaw), interpolates the
-    body grid, and rotates the body gradient back to the world frame, so the
-    returned vector is the steepest-ascent direction of the composed world SDF
-    as x_obs moves.
+    Transforms x_obs ((P, 2), or one (2,) point) into the body frame at
+    (position, yaw), evaluates the exact polygon SDF there, and rotates the
+    body gradients back to the world frame, so each returned vector is the
+    steepest-ascent direction of the composed world SDF as its obstacle point
+    moves.  Returns (P,) values and (P, 2) gradients.
     """
     r = rotation(yaw)
-    body = r.T @ (np.asarray(x_obs, dtype=float) - np.asarray(position, dtype=float))
-    value, g_body = esdf.interp_with_gradient(body)
-    return value, r @ g_body
+    body = (np.asarray(x_obs, dtype=float) - np.asarray(position, dtype=float)) @ r
+    value, g_body = shape.sdf_gradient(body)
+    return value, g_body @ r.T
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The SDF of the volume swept by the robot along an SE(2) trajectory, evaluated
 at a world point x, is the minimum over time of the body SDF at the
-pose-transformed point.  The minimum is located by Lipschitz-safe coarse time
-sampling followed by golden-section refinement of each candidate bracket.
+pose-transformed point.  The minimum is located by Lipschitz-spaced coarse
+time sampling followed by golden-section refinement of the bracket around each
+point's sampled minimum.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ _REFINE_T_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SweptQueryResult:
-    value: float  # signed meters: min over time of the body SDF
-    t_star: float  # arg-min time (seconds)
-    refined: bool
-
-
-@dataclass(frozen=True)
 class CollisionReport:
     verdict: str  # "clear" | "colliding"
     hits: tuple = field(default_factory=tuple)  # ((t_lo, t_hi), witness point, depth)
@@ -37,20 +31,9 @@ class CollisionReport:
         return self.verdict == "clear"
 
 
-def body_point(traj: Trajectory, shape: RobotShape, x_obs, t: float) -> np.ndarray:
-    state = traj.eval(t, 0)
-    c, s = np.cos(state[2]), np.sin(state[2])
-    dx, dy = x_obs[0] - state[0], x_obs[1] - state[1]
-    return np.array([c * dx + s * dy, -s * dx + c * dy])
-
-
-def composed_sdf(traj: Trajectory, shape: RobotShape, x_obs, t: float) -> float:
-    """Body SDF of x_obs at the trajectory pose at time t."""
-    return float(shape.sdf(body_point(traj, shape, x_obs, t)))
-
-
 def _lipschitz_bound(traj: Trajectory, shape: RobotShape, n_probe: int = 128) -> float:
-    """Bound on |d/dt composed_sdf|: max speed + circumradius * max yaw rate."""
+    """Bound on the time derivative of the composed SDF at any point: max
+    speed + circumradius * max yaw rate."""
     ts = np.linspace(0.0, traj.total_duration, n_probe)
     vel = traj.eval_many(ts, order=1)
     v_max = float(np.max(np.linalg.norm(vel[:, :2], axis=1)))
@@ -58,33 +41,14 @@ def _lipschitz_bound(traj: Trajectory, shape: RobotShape, n_probe: int = 128) ->
     return v_max + shape.circumradius * w_max
 
 
-def _coarse_times(traj: Trajectory, shape: RobotShape, window, spacing_target: float,
+def _coarse_times(traj: Trajectory, shape: RobotShape, spacing_target: float,
                   max_samples: int = 4096) -> np.ndarray:
-    t0, t1 = window
+    t1 = traj.total_duration
     lip = _lipschitz_bound(traj, shape)
-    dt = spacing_target / (2 * max(lip, 1e-9)) if lip > 0 else (t1 - t0)
-    n = int(np.ceil((t1 - t0) / max(dt, (t1 - t0) / max_samples))) + 1
+    dt = spacing_target / (2 * max(lip, 1e-9)) if lip > 0 else t1
+    n = int(np.ceil(t1 / max(dt, t1 / max_samples))) + 1
     n = max(n, 8)
-    return np.linspace(t0, t1, min(n, max_samples))
-
-
-def _golden_refine(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimization of f over [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _REFINE_T_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    t = (a + b) / 2
-    return t, f(t)
+    return np.linspace(0.0, t1, min(n, max_samples))
 
 
 def _batch_composed(traj: Trajectory, shape: RobotShape, points: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -100,48 +64,6 @@ def _batch_composed(traj: Trajectory, shape: RobotShape, points: np.ndarray, ts:
     return shape.sdf(body)
 
 
-def swept_sdf(traj: Trajectory, shape: RobotShape, esdf, x_obs, window=None,
-              spacing_target: float | None = None) -> SweptQueryResult:
-    """Minimum over time of the body SDF at x_obs; exact polygon distances.
-
-    esdf supplies the refinement spacing target (its resolution) and is kept
-    for interface symmetry with the grid-based gradient machinery; values are
-    computed from the exact polygon so refinement is resolution-independent.
-    """
-    x_obs = np.asarray(x_obs, dtype=float)
-    if window is None:
-        window = (0.0, traj.total_duration)
-    t0, t1 = window
-    if t1 < t0 or t0 < -1e-12 or t1 > traj.total_duration + 1e-12:
-        raise ValueError("window must lie inside [0, total duration]")
-    if spacing_target is None:
-        spacing_target = esdf.resolution if esdf is not None else 0.05
-    if t1 - t0 < 1e-12:
-        return SweptQueryResult(composed_sdf(traj, shape, x_obs, t0), t0, False)
-    ts = _coarse_times(traj, shape, window, spacing_target)
-    vals = _batch_composed(traj, shape, x_obs[None, :], ts)[:, 0]
-    best = float(np.min(vals))
-    # refine every local minimum that could beat the sampled best
-    threshold = best + spacing_target
-    candidates = []
-    for i in range(len(ts)):
-        left = vals[i - 1] if i > 0 else np.inf
-        right = vals[i + 1] if i < len(ts) - 1 else np.inf
-        if vals[i] <= left and vals[i] <= right and vals[i] <= threshold:
-            candidates.append(i)
-    f = lambda t: composed_sdf(traj, shape, x_obs, t)
-    t_best, v_best = ts[int(np.argmin(vals))], best
-    refined = False
-    for i in candidates:
-        lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, len(ts) - 1)]
-        t_r, v_r = _golden_refine(f, lo, hi)
-        refined = True
-        if v_r < v_best:
-            t_best, v_best = t_r, v_r
-    return SweptQueryResult(float(v_best), float(t_best), refined)
-
-
 def swept_sdf_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
                     spacing_target: float, refine_below: float = np.inf):
     """Vectorized swept SDF for many points.
@@ -153,7 +75,7 @@ def swept_sdf_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if points.shape[0] == 0:
         return np.zeros(0), np.zeros(0)
-    ts = _coarse_times(traj, shape, (0.0, traj.total_duration), spacing_target)
+    ts = _coarse_times(traj, shape, spacing_target)
     vals = _batch_composed(traj, shape, points, ts)  # (T, P)
     arg = np.argmin(vals, axis=0)
     out_v = vals[arg, np.arange(points.shape[0])]
@@ -213,7 +135,7 @@ def _golden_refine_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray
     return t, f(t)
 
 
-def continuous_check(traj: Trajectory, shape: RobotShape, esdf, grid: OccupancyGrid,
+def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid,
                      margin: float = 0.0) -> CollisionReport:
     """Certify the whole trajectory against all occupied cells near its sweep.
 
@@ -232,7 +154,7 @@ def continuous_check(traj: Trajectory, shape: RobotShape, esdf, grid: OccupancyG
     points = extract_obstacles(grid, center, half) if half > 0 else np.zeros((0, 2))
     if points.shape[0] == 0:
         return CollisionReport("clear")
-    spacing = min(grid.resolution, esdf.resolution if esdf is not None else grid.resolution)
+    spacing = grid.resolution / 2  # SDF spacing target: half a map cell
     vals, t_stars = swept_sdf_batch(traj, shape, points, spacing, refine_below=margin)
     bad = np.nonzero(vals < margin - 1e-12)[0]
     if bad.size == 0:

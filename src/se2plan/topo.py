@@ -1,6 +1,6 @@
 """Topological front end: roadmap construction on the inflated grid,
 penalized-shortest-path multi-path extraction, geometry-aware path shortcut
-with ESDF-based push-away, and uniform-visibility-deformation path filtering.
+with body-SDF push-away, and uniform-visibility-deformation path filtering.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .gridmap import OccupancyGrid, extract_obstacles, is_visible, visibility
-from .shape import BodyEsdf, RobotShape, rotation
+from .shape import RobotShape, sdf_gradient_world
 
 
 class InfeasibleEndpointError(ValueError):
@@ -156,25 +156,7 @@ def extract_paths(roadmap: Roadmap, max_paths: int = 10,
     return paths
 
 
-def _composed_values(shape: RobotShape, esdf: BodyEsdf, obstacles: np.ndarray,
-                     position: np.ndarray, yaw: float):
-    """Composed SDF values and world gradients for obstacle points; points
-    outside the ESDF window are treated as distant (value +inf)."""
-    if obstacles.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 2))
-    r = rotation(yaw)
-    body = (obstacles - position) @ r  # == R^T (x - p) per row
-    inside = esdf.contains(body)
-    values = np.full(obstacles.shape[0], np.inf)
-    grads = np.zeros((obstacles.shape[0], 2))
-    if np.any(inside):
-        v, g = esdf.interp_with_gradient(body[inside])
-        values[inside] = np.atleast_1d(v)
-        grads[inside] = np.atleast_2d(g) @ r.T
-    return values, grads
-
-
-def push_away(shape: RobotShape, esdf: BodyEsdf, position, yaw: float,
+def push_away(shape: RobotShape, position, yaw: float,
               grid: OccupancyGrid, margin: float, max_attempts: int = 20,
               yaw_step: float | None = None):
     """Iteratively translate (and slightly rotate) a pose until every nearby
@@ -198,13 +180,13 @@ def push_away(shape: RobotShape, esdf: BodyEsdf, position, yaw: float,
     def min_clearance(pos, th):
         obs = extract_obstacles(grid, pos, half_extent)
         if obs.shape[0] == 0:
-            return np.inf, obs
-        v, _ = _composed_values(shape, esdf, obs, pos, th)
-        return float(np.min(v)), obs
+            return np.inf
+        v, _ = sdf_gradient_world(shape, obs, pos, th)
+        return float(np.min(v))
 
     for attempt in range(max_attempts + 1):
         obstacles = extract_obstacles(grid, position, half_extent)
-        values, grads = _composed_values(shape, esdf, obstacles, position, yaw)
+        values, grads = sdf_gradient_world(shape, obstacles, position, yaw)
         violating = values < margin
         if not np.any(violating):
             return position, wrap_angle(yaw), True, attempt
@@ -216,9 +198,9 @@ def push_away(shape: RobotShape, esdf: BodyEsdf, position, yaw: float,
         if norm > grid.resolution:
             step *= grid.resolution / norm
         position = position + step
-        base, _ = min_clearance(position, yaw)
-        plus, _ = min_clearance(position, yaw + yaw_step)
-        minus, _ = min_clearance(position, yaw - yaw_step)
+        base = min_clearance(position, yaw)
+        plus = min_clearance(position, yaw + yaw_step)
+        minus = min_clearance(position, yaw - yaw_step)
         if plus > base and plus >= minus:
             yaw += yaw_step
         elif minus > base:
@@ -241,8 +223,8 @@ def discretize_polyline(points: np.ndarray, step: float) -> np.ndarray:
     return np.array(out)
 
 
-def shortcut(path: np.ndarray, shape: RobotShape, esdf: BodyEsdf, grid: OccupancyGrid,
-             kernel=None, inflated: OccupancyGrid | None = None,
+def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
+             inflated: OccupancyGrid | None = None,
              margin: float | None = None, max_attempts: int = 20) -> Se2Path:
     """Greedy geometry-aware path shortcut.
 
@@ -253,10 +235,8 @@ def shortcut(path: np.ndarray, shape: RobotShape, esdf: BodyEsdf, grid: Occupanc
     obstruction point is additionally seeded with an interpolated yaw and
     pushed away from the real occupancy, and the pushed pose is kept as an
     extra SE(2) waypoint when the push succeeded without breaking the
-    visibility chain.  `kernel` is accepted for callers that want to
-    post-check waypoints but is not needed by the shortcut itself.
+    visibility chain.
     """
-    del kernel
     path = np.asarray(path, dtype=float)
     if margin is None:
         margin = grid.resolution
@@ -280,7 +260,7 @@ def shortcut(path: np.ndarray, shape: RobotShape, esdf: BodyEsdf, grid: Occupanc
         if np.linalg.norm(last_visible - back.position) > 1e-12:
             kept.append(Se2Waypoint(last_visible, seg_heading, "corner"))
             back = kept[-1]
-        new_pos, new_yaw, safe, _ = push_away(shape, esdf, p_c, seed_yaw, grid, margin, max_attempts)
+        new_pos, new_yaw, safe, _ = push_away(shape, p_c, seed_yaw, grid, margin, max_attempts)
         if (safe
                 and np.linalg.norm(new_pos - back.position) > 1e-12
                 and is_visible(vis_grid, back.position, new_pos)

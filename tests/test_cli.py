@@ -59,8 +59,8 @@ def test_plan_success_writes_outputs(tmp_path):
     code = main(["plan", str(cfg), "--out", str(out)], clock=fake_clock())
     assert code == EXIT_OK
     metrics = (out / "metrics.txt").read_text()
-    for key in ("status", "time.path_refine", "time.r2", "time.se2", "time.total",
-                "len.r2", "len.se2", "len.total", "candidates.tried",
+    for key in ("status", "time.path_refine", "time.r2", "time.se2", "time.certify",
+                "time.total", "len.r2", "len.se2", "len.total", "candidates.tried",
                 "candidates.survived"):
         assert f"{key} = " in metrics
     assert "status = success" in metrics
@@ -155,7 +155,7 @@ def test_bench_aggregates(tmp_path):
     assert code == EXIT_OK
     text = (out / "bench.txt").read_text()
     assert "easy.success_rate = 1" in text
-    for key in ("time.total", "len.total"):
+    for key in ("time.certify", "time.total", "len.total"):
         for stat in ("mean", "min", "max"):
             assert f"easy.{key}.{stat} = " in text
     assert (out / "easy" / "rep0" / "metrics.txt").exists()

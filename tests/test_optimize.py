@@ -6,7 +6,7 @@ from se2plan.optimize import (DegenerateInputError, Weights, farthest_point_subs
                               lbfgs, r2_cost, r2_optimize, se2_cost, se2_optimize,
                               smoothing, smoothing_grad)
 from se2plan.sequence import HIGH_RISK, LOW_RISK, MotionState, SubProblem
-from se2plan.shape import build_body_esdf, build_kernel
+from se2plan.shape import build_kernel
 from se2plan.sweep import continuous_check
 
 from conftest import empty_grid, grid_from_cells
@@ -93,7 +93,7 @@ def test_se2_cost_free_space_terms(rng, slim_rect):
     spline, wps, durs = random_se2_setup(rng)
     traj = spline.set_params(wps, durs)
     weights = Weights(v_max=50.0, w_max=50.0)
-    cost, terms, _, _ = se2_cost(traj, weights, slim_rect, None, np.zeros((0, 2)))
+    cost, terms, _, _ = se2_cost(traj, weights, slim_rect, np.zeros((0, 2)))
     assert terms["J_s"] == 0.0
     assert terms["J_d"] == pytest.approx(0.0, abs=1e-12)
     expected = weights.lam_m * terms["J_m"] + weights.lam_t * terms["J_t"]
@@ -105,8 +105,8 @@ def test_se2_cost_dead_zone(rng, slim_rect):
     traj = spline.set_params(wps, durs)
     weights = Weights(d_safe=0.02)
     far = np.array([[50.0, 50.0]])
-    _, terms, gc, gt = se2_cost(traj, weights, slim_rect, None, far)
-    _, terms0, gc0, gt0 = se2_cost(traj, weights, slim_rect, None, np.zeros((0, 2)))
+    _, terms, gc, gt = se2_cost(traj, weights, slim_rect, far)
+    _, terms0, gc0, gt0 = se2_cost(traj, weights, slim_rect, np.zeros((0, 2)))
     assert terms["J_s"] == 0.0
     assert np.allclose(gc, gc0) and np.allclose(gt, gt0)
 
@@ -152,7 +152,7 @@ def test_se2_cost_gradients_match_fd(rng, slim_rect):
         spline, wps, durs = random_se2_setup(rng)
 
         def cost_of(traj):
-            return se2_cost(traj, weights, slim_rect, None, obstacles)
+            return se2_cost(traj, weights, slim_rect, obstacles)
 
         _fd_check_cost(spline, wps, durs, cost_of, rng=rng)
 
@@ -220,14 +220,13 @@ def test_degenerate_subproblem_raises():
 
 def test_se2_optimize_free_corridor_near_min_jerk(slim_rect):
     grid = empty_grid(30)
-    esdf = build_body_esdf(slim_rect, 0.05, padding=0.2)
     kernel = build_kernel(slim_rect, 18, grid.resolution)
     positions = np.stack([np.linspace(0.6, 2.4, 12), np.full(12, 1.5)], axis=1)
     sub = make_sub("SE2", positions, risks=[LOW_RISK] * 12)
     weights = Weights()
-    out = se2_optimize(sub, weights, slim_rect, esdf, kernel, grid, budget=120)
+    out = se2_optimize(sub, weights, slim_rect, kernel, grid, budget=120)
     assert out.collision_free
-    report = continuous_check(out.trajectory, slim_rect, esdf, grid)
+    report = continuous_check(out.trajectory, slim_rect, grid)
     assert report.clear
     # compare against the unconstrained min-jerk spline on the same geometry
     durations = np.array(out.trajectory.durations)
@@ -248,12 +247,11 @@ def test_se2_optimize_impossible_gap_fails_cleanly(slim_rect):
     cells[:, 20:30] = False
     cells[14, 10:20] = False
     grid = grid_from_cells(cells)
-    esdf = build_body_esdf(slim_rect, 0.05, padding=0.2)
     kernel = build_kernel(slim_rect, 18, grid.resolution)
     xs = np.linspace(0.5, 2.5, 15)
     positions = np.stack([xs, np.full(15, 1.45)], axis=1)
     sub = make_sub("SE2", positions)
-    out = se2_optimize(sub, Weights(), slim_rect, esdf, kernel, grid, budget=40)
+    out = se2_optimize(sub, Weights(), slim_rect, kernel, grid, budget=40)
     assert out.collision_free is False
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from se2plan.minco import basis, construct
-from se2plan.pipeline import PlanConfig, SpliceError, plan, splice
+from se2plan.pipeline import PlanConfig, SpliceError, _kind_lengths, plan, splice
 from se2plan.shape import rectangle
 
 from conftest import box_grid, empty_grid, wall_grid
@@ -58,7 +58,7 @@ def test_plan_metrics_additive_and_nonnegative():
     m = result.metrics
     assert result.status == "success"
     assert m["len.total"] == pytest.approx(m["len.r2"] + m["len.se2"])
-    for key in ("time.path_refine", "time.r2", "time.se2", "time.total"):
+    for key in ("time.path_refine", "time.r2", "time.se2", "time.certify", "time.total"):
         assert m[key] >= 0.0
     assert m["time.total"] >= m["time.path_refine"]
     assert m["candidates.survived"] >= 1
@@ -127,3 +127,14 @@ def test_splice_dimension_mismatch_raises():
     _, b = construct(start, end, np.zeros((0, 2)), [1.0])
     with pytest.raises(SpliceError):
         splice([a, b])
+
+
+def test_kind_lengths_count_reoptimized_as_se2():
+    # straight rest-to-rest pieces of 1, 2 and 0.5 m
+    a = single_piece([0, 0, 0], [1, 0, 0])
+    b = single_piece([1, 0, 0], [1, 2, 0])
+    c = single_piece([1, 2, 0], [0.5, 2, 0])
+    out = splice([a, b, c])
+    len_r2, len_se2 = _kind_lengths(out, ["R2", "SE2", "R2-reoptimized"], [1, 1, 1])
+    assert len_r2 == pytest.approx(1.0, rel=1e-6)
+    assert len_se2 == pytest.approx(2.5, rel=1e-6)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from se2plan.gridmap import OccupancyGrid
-from se2plan.shape import (GeometryError, OutOfWindowError, RobotShape, body_sdf,
-                           build_body_esdf, build_kernel, inscribed_radius,
+from se2plan.shape import (GeometryError, RobotShape, build_kernel, inscribed_radius,
                            kernel_collides, parse_shape, polygon_sdf, rectangle,
                            rotation, sdf_gradient_world)
 
@@ -101,83 +100,60 @@ def test_parse_shape():
         parse_shape("vertex: 0 0\nnonsense line\n")
 
 
-def test_body_esdf_matches_direct_sdf(unit_square, rng):
-    esdf = build_body_esdf(unit_square, 0.05, padding=0.2)
-    h, w = esdf.shape_hw
-    for _ in range(100):
-        ix = int(rng.integers(0, w))
-        iy = int(rng.integers(0, h))
-        center = esdf.window_origin + (np.array([ix, iy]) + 0.5) * esdf.resolution
-        assert esdf.values[iy, ix] == pytest.approx(
-            body_sdf(unit_square, center), abs=1e-12)
-
-
-def test_body_esdf_border_positive(unit_square):
-    esdf = build_body_esdf(unit_square, 0.05, padding=0.2)
-    border = np.concatenate([esdf.values[0], esdf.values[-1],
-                             esdf.values[:, 0], esdf.values[:, -1]])
-    assert np.all(border > 0)
-
-
-def test_body_esdf_center_value(unit_square):
-    esdf = build_body_esdf(unit_square, 0.05, padding=0.2)
-    assert esdf.interp((0.0, 0.0)) == pytest.approx(-0.5, abs=0.05)
-
-
-def test_esdf_out_of_window(unit_square):
-    esdf = build_body_esdf(unit_square, 0.05, padding=0.2)
-    with pytest.raises(OutOfWindowError):
-        esdf.interp((5.0, 0.0))
+def test_sdf_gradient_on_boundary_is_outward_normal(unit_square):
+    on_edges = np.array([[0.5, 0.1], [-0.2, 0.5], [-0.5, -0.3], [0.0, -0.5]])
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    clockwise = RobotShape(unit_square.vertices[::-1].copy(), np.zeros(2))
+    for shape in (unit_square, clockwise):
+        values, grads = shape.sdf_gradient(on_edges)
+        assert np.all(values == 0.0)
+        assert np.allclose(grads, normals, atol=1e-12)
 
 
 def test_sdf_gradient_world_axis_case(unit_square):
-    esdf = build_body_esdf(unit_square, 0.02, padding=0.3)
-    value, grad = sdf_gradient_world(esdf, (0.7, 0.0), (0.0, 0.0), 0.0)
-    assert value == pytest.approx(0.2, abs=0.02)
-    assert grad[0] > 0.9 and abs(grad[1]) < 0.1
+    value, grad = sdf_gradient_world(unit_square, np.array([[0.7, 0.0]]), (0.0, 0.0), 0.0)
+    assert value[0] == pytest.approx(0.2, abs=1e-12)
+    assert np.allclose(grad[0], [1.0, 0.0], atol=1e-12)
 
 
 def test_sdf_gradient_world_rotates_with_yaw(unit_square):
-    esdf = build_body_esdf(unit_square, 0.02, padding=0.3)
     # same body-frame geometry, robot rotated 90 degrees
-    value0, grad0 = sdf_gradient_world(esdf, (0.7, 0.0), (0.0, 0.0), 0.0)
-    value1, grad1 = sdf_gradient_world(esdf, (0.0, 0.7), (0.0, 0.0), np.pi / 2)
-    assert value1 == pytest.approx(value0, abs=1e-9)
-    assert np.allclose(rotation(np.pi / 2) @ grad0, grad1, atol=1e-9)
+    value0, grad0 = sdf_gradient_world(unit_square, np.array([[0.7, 0.0]]), (0.0, 0.0), 0.0)
+    value1, grad1 = sdf_gradient_world(unit_square, np.array([[0.0, 0.7]]), (0.0, 0.0),
+                                       np.pi / 2)
+    assert value1[0] == pytest.approx(value0[0], abs=1e-9)
+    assert np.allclose(rotation(np.pi / 2) @ grad0[0], grad1[0], atol=1e-9)
 
 
 def test_sdf_gradient_world_matches_fd(unit_square, rng):
-    esdf = build_body_esdf(unit_square, 0.02, padding=0.3)
-    # the gradient is exact for the bilinear interpolant, so a sub-cell FD
-    # step matches it tightly as long as the stencil stays inside one cell
+    # the exact SDF is smooth away from the boundary and, inside, from the
+    # medial axis (the square's diagonals); keep FD stencils clear of both
     h = 1e-7
     checked = 0
     for _ in range(60):
         pos = rng.uniform(-0.1, 0.1, 2)
         yaw = rng.uniform(-np.pi, np.pi)
         x_obs = pos + rotation(yaw) @ rng.uniform(-0.6, 0.6, 2)
-        body = rotation(yaw).T @ (x_obs - pos)
-        frac = ((body - esdf.window_origin) / esdf.resolution - 0.5) % 1.0
-        if np.any(frac < 1e-3) or np.any(frac > 1 - 1e-3):
-            continue  # FD stencil would straddle a cell boundary
-        value, grad = sdf_gradient_world(esdf, x_obs, pos, yaw)
+        bx, by = np.abs(rotation(yaw).T @ (x_obs - pos))
+        if abs(max(bx, by) - 0.5) < 10 * h or (max(bx, by) < 0.5 and abs(bx - by) < 10 * h):
+            continue
+        value, grad = sdf_gradient_world(unit_square, x_obs[None], pos, yaw)
         fd = np.zeros(2)
         for ax in range(2):
             e = np.zeros(2)
             e[ax] = h
-            fp, _ = sdf_gradient_world(esdf, x_obs + e, pos, yaw)
-            fm, _ = sdf_gradient_world(esdf, x_obs - e, pos, yaw)
-            fd[ax] = (fp - fm) / (2 * h)
+            fp, _ = sdf_gradient_world(unit_square, (x_obs + e)[None], pos, yaw)
+            fm, _ = sdf_gradient_world(unit_square, (x_obs - e)[None], pos, yaw)
+            fd[ax] = (fp[0] - fm[0]) / (2 * h)
         if np.linalg.norm(fd) > 1e-6:
-            assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-3
+            assert np.linalg.norm(grad[0] - fd) / np.linalg.norm(fd) < 1e-3
             checked += 1
     assert checked >= 20
 
 
 def test_reference_point_value(unit_square):
-    esdf = build_body_esdf(unit_square, 0.02, padding=0.3)
-    value, _ = sdf_gradient_world(esdf, (0.0, 0.0), (0.0, 0.0), 0.3)
-    assert value == pytest.approx(-inscribed_radius(unit_square), abs=0.02)
+    value, _ = sdf_gradient_world(unit_square, np.zeros((1, 2)), (0.0, 0.0), 0.3)
+    assert value[0] == pytest.approx(-inscribed_radius(unit_square), abs=1e-12)
 
 
 def test_build_kernel_angular_step(slim_rect):

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 
 from se2plan.minco import construct
-from se2plan.shape import RobotShape, build_body_esdf, rectangle
-from se2plan.sweep import (composed_sdf, continuous_check, swept_boundary_samples,
-                           swept_sdf)
+from se2plan.shape import RobotShape, rotation
+from se2plan.sweep import continuous_check, swept_boundary_samples, swept_sdf_batch
 
 from conftest import grid_from_cells
+
+
+def composed_at(traj, shape, x_obs, t):
+    """Reference: body SDF of x_obs at the trajectory's pose at time t."""
+    x, y, yaw = traj.eval(t, 0)
+    return float(shape.sdf(rotation(yaw).T @ (np.asarray(x_obs, dtype=float) - [x, y])))
+
+
+def swept_value(traj, shape, x_obs, spacing_target):
+    values, _ = swept_sdf_batch(traj, shape, np.asarray(x_obs, dtype=float)[None],
+                                spacing_target)
+    return float(values[0])
 
 
 def regular_polygon(n=16, radius=0.3, top_vertex=True):
@@ -39,42 +50,39 @@ def random_se2_trajectory(rng, n_pieces=2, box=1.0):
 def test_stationary_swept_equals_body_sdf(unit_square):
     traj = straight_se2_trajectory((0.3, 0.2), (0.3, 0.2), yaw=0.0)
     for x_obs in ((1.2, 0.2), (0.3, 0.2), (0.3, 1.5)):
-        res = swept_sdf(traj, unit_square, None, x_obs, spacing_target=0.05)
-        direct = composed_sdf(traj, unit_square, np.asarray(x_obs, float), 0.0)
-        assert res.value == pytest.approx(direct, abs=1e-9)
+        value = swept_value(traj, unit_square, x_obs, 0.05)
+        assert value == pytest.approx(composed_at(traj, unit_square, x_obs, 0.0), abs=1e-9)
 
 
 def test_capsule_translation_analytic():
     shape = regular_polygon(16, radius=0.3)
     traj = straight_se2_trajectory((0.0, 0.0), (2.0, 0.0))
     for d in (0.5, 0.8, 1.1):
-        res = swept_sdf(traj, shape, None, (1.0, d), spacing_target=0.02)
-        assert res.value == pytest.approx(d - 0.3, abs=1e-6)
+        assert swept_value(traj, shape, (1.0, d), 0.02) == pytest.approx(d - 0.3, abs=1e-6)
 
 
 def test_swept_point_on_start_boundary(unit_square):
     traj = straight_se2_trajectory((0.0, 0.0), (2.0, 0.0))
-    res = swept_sdf(traj, unit_square, None, (-0.5, 0.0), spacing_target=0.02)
-    assert res.value == pytest.approx(0.0, abs=1e-6)
+    assert swept_value(traj, unit_square, (-0.5, 0.0), 0.02) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_min_property_upper_bound(rng, slim_rect):
     for _ in range(10):
         traj = random_se2_trajectory(rng)
         x_obs = rng.uniform(-1.5, 1.5, 2)
-        res = swept_sdf(traj, slim_rect, None, x_obs, spacing_target=0.05)
+        value = swept_value(traj, slim_rect, x_obs, 0.05)
         ts = rng.uniform(0, traj.total_duration, 64)
         for t in ts:
-            assert res.value <= composed_sdf(traj, slim_rect, x_obs, t) + 1e-9
+            assert value <= composed_at(traj, slim_rect, x_obs, t) + 1e-9
 
 
 def test_refinement_monotone_in_sampling(rng, slim_rect):
     for _ in range(5):
         traj = random_se2_trajectory(rng)
         x_obs = rng.uniform(-1.5, 1.5, 2)
-        coarse = swept_sdf(traj, slim_rect, None, x_obs, spacing_target=0.1)
-        fine = swept_sdf(traj, slim_rect, None, x_obs, spacing_target=0.05)
-        assert fine.value <= coarse.value + 1e-6
+        coarse = swept_value(traj, slim_rect, x_obs, 0.1)
+        fine = swept_value(traj, slim_rect, x_obs, 0.05)
+        assert fine <= coarse + 1e-6
 
 
 def test_time_reversal_symmetry(rng, slim_rect):
@@ -88,22 +96,15 @@ def test_time_reversal_symmetry(rng, slim_rect):
     _, rev = construct(end, start, waypoints[::-1], durations[::-1])
     for _ in range(10):
         x_obs = rng.uniform(-1.0, 2.0, 2)
-        a = swept_sdf(fwd, slim_rect, None, x_obs, spacing_target=0.05)
-        b = swept_sdf(rev, slim_rect, None, x_obs, spacing_target=0.05)
-        assert a.value == pytest.approx(b.value, abs=1e-6)
-
-
-def test_swept_window_validation(unit_square):
-    traj = straight_se2_trajectory((0, 0), (1, 0), T=1.0)
-    with pytest.raises(ValueError):
-        swept_sdf(traj, unit_square, None, (0, 0), window=(0.5, 2.0))
+        a = swept_value(fwd, slim_rect, x_obs, 0.05)
+        b = swept_value(rev, slim_rect, x_obs, 0.05)
+        assert a == pytest.approx(b, abs=1e-6)
 
 
 def test_continuous_check_empty_grid(unit_square):
     traj = straight_se2_trajectory((1.0, 1.0), (2.0, 1.0))
     grid = grid_from_cells(np.zeros((30, 30), dtype=bool))
-    esdf = build_body_esdf(unit_square, 0.05, padding=0.2)
-    report = continuous_check(traj, unit_square, esdf, grid)
+    report = continuous_check(traj, unit_square, grid)
     assert report.clear and report.hits == ()
 
 
@@ -111,16 +112,15 @@ def test_continuous_check_through_wall(slim_rect):
     cells = np.zeros((30, 30), dtype=bool)
     cells[:, 15] = True
     grid = grid_from_cells(cells)
-    esdf = build_body_esdf(slim_rect, 0.05, padding=0.2)
     traj = straight_se2_trajectory((0.7, 1.5), (2.3, 1.5))
-    report = continuous_check(traj, slim_rect, esdf, grid)
+    report = continuous_check(traj, slim_rect, grid)
     assert not report.clear
     (interval, witness, depth), *_ = report.hits
     assert depth > 0
     assert witness[0] == pytest.approx(1.55, abs=1e-9)
     # dense time-grid oracle confirms a real penetration at the witness
     ts = np.linspace(0, traj.total_duration, 2000)
-    dense = min(composed_sdf(traj, slim_rect, witness, t) for t in ts)
+    dense = min(composed_at(traj, slim_rect, witness, t) for t in ts)
     assert dense < 0
 
 
@@ -128,13 +128,12 @@ def test_continuous_check_clear_with_clearance(slim_rect):
     cells = np.zeros((30, 30), dtype=bool)
     cells[27, :] = True  # wall well above the motion
     grid = grid_from_cells(cells)
-    esdf = build_body_esdf(slim_rect, 0.05, padding=0.2)
     traj = straight_se2_trajectory((0.7, 1.0), (2.3, 1.0))
     margin = 0.1
-    report = continuous_check(traj, slim_rect, esdf, grid, margin=margin)
+    report = continuous_check(traj, slim_rect, grid, margin=margin)
     assert report.clear
     with pytest.raises(ValueError):
-        continuous_check(traj, slim_rect, esdf, grid, margin=-0.1)
+        continuous_check(traj, slim_rect, grid, margin=-0.1)
 
 
 def test_swept_boundary_samples(unit_square):

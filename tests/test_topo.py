@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from se2plan.gridmap import inflate, is_visible
-from se2plan.shape import build_body_esdf, build_kernel, inscribed_radius, kernel_collides
+from se2plan.shape import build_kernel, inscribed_radius, kernel_collides
 from se2plan.topo import (InfeasibleEndpointError, Roadmap, Se2Path, Se2Waypoint,
                           build_roadmap, dedup_paths, discretize_polyline,
                           extract_paths, orientation_interp, push_away, shortcut,
@@ -81,9 +81,7 @@ def test_extract_paths_direct_edge():
 
 def test_push_away_already_safe(unit_square):
     grid = empty_grid(30)
-    esdf = build_body_esdf(unit_square, 0.05, padding=0.2)
-    pos, yaw, safe, attempts = push_away(unit_square, esdf, (1.5, 1.5), 0.2,
-                                         grid, margin=0.05)
+    pos, yaw, safe, attempts = push_away(unit_square, (1.5, 1.5), 0.2, grid, margin=0.05)
     assert safe and attempts == 0
     assert np.allclose(pos, [1.5, 1.5]) and yaw == pytest.approx(0.2)
 
@@ -92,13 +90,12 @@ def test_push_away_translates_to_margin(unit_square):
     cells = np.zeros((40, 40), dtype=bool)
     cells[20, 24] = True  # point 0.1 inside the robot's right edge
     grid = grid_from_cells(cells)
-    esdf = build_body_esdf(unit_square, 0.02, padding=0.3)
     start = np.array([2.05, 2.05])  # obstacle center (2.45, 2.05) sits inside
-    pos, yaw, safe, _ = push_away(unit_square, esdf, start, 0.0, grid, margin=0.05)
+    pos, yaw, safe, _ = push_away(unit_square, start, 0.0, grid, margin=0.05)
     assert safe
     obstacle = np.array([2.45, 2.05])
     body = obstacle - pos  # yaw stays ~0
-    assert unit_square.sdf(body) >= 0.05 - esdf.resolution
+    assert unit_square.sdf(body) >= 0.05 - 1e-9
 
 
 def test_push_away_symmetric_stall(unit_square):
@@ -106,19 +103,17 @@ def test_push_away_symmetric_stall(unit_square):
     cells[20, 16] = True  # (1.65, 2.05): inside left edge
     cells[20, 24] = True  # (2.45, 2.05): inside right edge, symmetric
     grid = grid_from_cells(cells)
-    esdf = build_body_esdf(unit_square, 0.02, padding=0.3)
-    _, _, safe, attempts = push_away(unit_square, esdf, (2.05, 2.05), 0.0,
-                                     grid, margin=0.05, max_attempts=5)
+    _, _, safe, attempts = push_away(unit_square, (2.05, 2.05), 0.0, grid, margin=0.05,
+                                     max_attempts=5)
     assert not safe and attempts == 5
 
 
 def test_push_away_validation(unit_square):
     grid = empty_grid(10)
-    esdf = build_body_esdf(unit_square, 0.05, padding=0.2)
     with pytest.raises(ValueError):
-        push_away(unit_square, esdf, (0.5, 0.5), 0.0, grid, margin=-1)
+        push_away(unit_square, (0.5, 0.5), 0.0, grid, margin=-1)
     with pytest.raises(ValueError):
-        push_away(unit_square, esdf, (0.5, 0.5), 0.0, grid, margin=0.1, max_attempts=0)
+        push_away(unit_square, (0.5, 0.5), 0.0, grid, margin=0.1, max_attempts=0)
 
 
 def test_discretize_polyline():
@@ -129,9 +124,8 @@ def test_discretize_polyline():
 
 def test_shortcut_straight_visible_path(slim_rect):
     grid = empty_grid(30)
-    esdf = build_body_esdf(slim_rect, 0.05, padding=0.2)
     path = np.array([[0.5, 0.5], [1.0, 0.9], [2.5, 2.0]])
-    out = shortcut(path, slim_rect, esdf, grid)
+    out = shortcut(path, slim_rect, grid)
     assert len(out.waypoints) == 2
     assert out.waypoints[0].provenance == "start"
     assert out.waypoints[-1].provenance == "goal"
@@ -144,11 +138,10 @@ def test_shortcut_around_box(slim_rect):
     grid = box_grid(30, box=(12, 18, 12, 18))
     r_in = inscribed_radius(slim_rect)
     inflated = inflate(grid, r_in)
-    esdf = build_body_esdf(slim_rect, 0.05, padding=0.2)
     kernel = build_kernel(slim_rect, 18, grid.resolution)
     # zigzag that goes around the box through the lower-right corridor
     path = np.array([[0.5, 0.5], [1.5, 0.7], [2.3, 1.0], [2.5, 2.5]])
-    out = shortcut(path, slim_rect, esdf, grid, kernel=kernel, inflated=inflated)
+    out = shortcut(path, slim_rect, grid, inflated=inflated)
     dense = discretize_polyline(path, grid.resolution)
     assert len(out.waypoints) < len(dense)
     assert np.allclose(out.waypoints[0].position, path[0])
