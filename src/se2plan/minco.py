@@ -3,9 +3,12 @@
 A trajectory is M quintic pieces with durations T_i and coefficient matrices
 c_i (6 x m); the spline interpolating given waypoints with C4 junctions is
 the unique minimizer of the integrated squared jerk among all interpolants,
-so construction reduces to one banded linear solve.  Gradients of downstream
-costs with respect to coefficients and durations are pulled back to
-(waypoint, duration) space through the adjoint of that solve.
+so construction reduces to one linear solve (a dense LU factorisation).
+Every cost term is a time integral over the pieces; time_integral evaluates it
+by one quadrature across all pieces and maps the sample gradients to the
+coefficients and durations.  Gradients with respect to coefficients and
+durations are pulled back to (waypoint, duration) space through the adjoint of
+the solve.
 """
 
 from __future__ import annotations
@@ -36,14 +39,24 @@ def basis(t: float, order: int) -> np.ndarray:
 
 
 def basis_many(ts, order: int) -> np.ndarray:
-    """Vectorized basis rows: (len(ts), 6) with basis(ts[i], order) per row."""
+    """Vectorized basis rows: ts.shape + (6,), with basis(t, order) per time."""
     ts = np.asarray(ts, dtype=float)
-    out = np.zeros((ts.shape[0], NCOEF))
+    out = np.zeros(ts.shape + (NCOEF,))
     if order > DEGREE:
         return out
     for j in range(order, NCOEF):
-        out[:, j] = _DERIV_FACT[order, j] * ts ** (j - order)
+        out[..., j] = _DERIV_FACT[order, j] * ts ** (j - order)
     return out
+
+
+def _unit_gauss(n: int):
+    """n-node Gauss-Legendre rule on [0, 1]: (nodes, weights)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1) / 2, w / 2
+
+
+GAUSS_16 = _unit_gauss(16)  # exact for polynomials up to degree 31
+_GAUSS_64 = _unit_gauss(64)
 
 
 @dataclass(frozen=True)
@@ -108,22 +121,13 @@ class Trajectory:
         edges = np.cumsum(self.durations)
         idx = np.minimum(np.searchsorted(edges, tc, side="right"), self.n_pieces - 1)
         local = tc - self.start_times[idx]
-        powers = np.zeros((len(tc), NCOEF))
-        for j in range(order, NCOEF):
-            powers[:, j] = _DERIV_FACT[order, j] * local ** (j - order)
-        return np.einsum("nj,njd->nd", powers, self.coeffs[idx])
+        return np.einsum("nj,njd->nd", basis_many(local, order), self.coeffs[idx])
 
-    def arc_length(self, samples_per_piece: int = 64) -> float:
-        """Translational (x, y) path length by fixed-node quadrature."""
-        nodes, weights = np.polynomial.legendre.leggauss(samples_per_piece)
-        total = 0.0
-        for i in range(self.n_pieces):
-            t0 = self.start_times[i]
-            ti = self.durations[i]
-            ts = t0 + (nodes + 1) / 2 * ti
-            v = self.eval_many(ts, order=1)[:, :2]
-            total += float(np.sum(weights * np.linalg.norm(v, axis=1)) * ti / 2)
-        return total
+    def arc_length(self) -> float:
+        """Translational (x, y) path length by 64-node Gauss quadrature per piece."""
+        def speed(vel):  # only the value is used, so the gradient is left zero
+            return np.linalg.norm(vel[..., :2], axis=-1), np.zeros_like(vel)
+        return time_integral(self, speed, 1, *_GAUSS_64)[0]
 
     def to_text(self) -> str:
         """Lossless text serialization (17 significant digits)."""
@@ -157,50 +161,46 @@ class Trajectory:
         return traj
 
 
-def _jerk_gram(t: float) -> np.ndarray:
-    """Gram matrix Q of third-derivative basis products over [0, t]:
-    integral of p'''(u)^2 du = c^T Q c per dimension."""
-    q = np.zeros((NCOEF, NCOEF))
-    for j in range(3, NCOEF):
-        for k in range(3, NCOEF):
-            cj = _DERIV_FACT[3, j]
-            ck = _DERIV_FACT[3, k]
-            q[j, k] = cj * ck * t ** (j + k - 5) / (j + k - 5)
-    return q
+def time_integral(traj: Trajectory, integrand, order: int, nodes, weights):
+    """Quadrature of a time integral over all pieces at once, with its partials.
+
+    J = sum_i T_i sum_q w_q g(x_iq), where x_iq is the time derivative of the
+    given order at local time s_q T_i, for nodes s_q in [0, 1] with weights
+    w_q.  integrand(x) maps x of shape (M, Q, m) to g (M, Q) and dg/dx
+    (M, Q, m).  Returns (J, dJ/dc (M, 6, m), dJ/dT (M,)), the duration partial
+    taken with the coefficients held fixed.
+    """
+    taus = traj.durations[:, None] * nodes  # (M, Q)
+    rows = basis_many(taus, order)  # (M, Q, 6)
+    x = np.einsum("mqj,mjd->mqd", rows, traj.coeffs)
+    x_dot = np.einsum("mqj,mjd->mqd", basis_many(taus, order + 1), traj.coeffs)
+    g, dg = integrand(x)
+    tw = traj.durations[:, None] * weights  # T_i w_q
+    value = float(np.sum(tw * g))
+    grad_c = np.einsum("mqj,mqd->mjd", rows, tw[:, :, None] * dg)
+    # d/dT_i [T_i w_q g(x(s_q T_i))] = w_q g + T_i w_q s_q dg/dx . x'
+    grad_t = g @ weights + np.einsum("mqd,mqd->m", (tw * nodes)[:, :, None] * dg, x_dot)
+    return value, grad_c, grad_t
 
 
 def control_effort(traj: Trajectory) -> float:
     """Integrated squared jerk over the whole trajectory, all dimensions."""
-    total = 0.0
-    for i in range(traj.n_pieces):
-        q = _jerk_gram(traj.durations[i])
-        c = traj.coeffs[i]
-        total += float(np.einsum("jd,jk,kd->", c, q, c))
-    return total
+    return control_effort_gradients(traj)[0]
 
 
 def control_effort_gradients(traj: Trajectory):
-    """(value, dJ/dc (M,6,m), dJ/dT (M,)) for the squared-jerk integral."""
-    m = traj.n_pieces
-    grad_c = np.zeros_like(traj.coeffs)
-    grad_t = np.zeros(m)
-    value = 0.0
-    for i in range(m):
-        ti = traj.durations[i]
-        q = _jerk_gram(ti)
-        c = traj.coeffs[i]
-        value += float(np.einsum("jd,jk,kd->", c, q, c))
-        grad_c[i] = 2 * q @ c
-        jerk_end = basis(ti, 3) @ c
-        grad_t[i] = float(np.dot(jerk_end, jerk_end))
-    return value, grad_c, grad_t
+    """(value, dJ/dc (M,6,m), dJ/dT (M,)) for the squared-jerk integral; the
+    16-node Gauss rule is exact for its quartic integrand."""
+    return time_integral(traj, lambda jerk: (np.sum(jerk * jerk, axis=-1), 2 * jerk),
+                         3, *GAUSS_16)
 
 
 class MincoSpline:
     """Minimum-jerk spline parameterized by interior waypoints and durations.
 
     Boundary position/velocity/acceleration are fixed at construction;
-    set_params() solves the banded interpolation system for the coefficients,
+    set_params() LU-factorises the dense interpolation system and solves it
+    for the coefficients,
     and gradients() back-propagates coefficient/duration cost gradients to the
     (waypoint, duration) parameters through the adjoint of that solve.
     """

@@ -4,7 +4,9 @@ SE(2) sub-problems minimize smoothness + total time + swept-volume safety +
 dynamic-limit penalties over MINCO waypoint/duration parameters; R^2
 sub-problems replace the safety term with position/heading residuals against
 the motion-sequence anchors.  All penalty terms go through the same C^2
-smoothed ramp so gradients stay continuous.
+smoothed ramp so gradients stay continuous.  Each time-integrated term is an
+integrand handed to minco.time_integral, which owns the chain rule to the
+spline coefficients and durations.
 """
 
 from __future__ import annotations
@@ -16,11 +18,15 @@ from scipy.special import expit
 
 from . import minco
 from .gridmap import OccupancyGrid, extract_obstacles
-from .minco import MincoSpline, Trajectory, basis_many
+from .minco import MincoSpline, Trajectory
 from .shape import RobotShape
 from .sweep import continuous_check
 
-_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_SAFETY_SAMPLES = 16
+# midpoint rule: fixed per-piece time fractions
+_SAFETY_NODES = (np.arange(_SAFETY_SAMPLES) + 0.5) / _SAFETY_SAMPLES
+_SAFETY_WEIGHTS = np.full(_SAFETY_SAMPLES, 1.0 / _SAFETY_SAMPLES)
+_OBSTACLE_CAP = 512  # obstacle points an SE(2) window's safety term keeps
 
 
 class DegenerateInputError(ValueError):
@@ -156,45 +162,22 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200, g_tol: float = 1e-5,
 def _dynamics_penalty(traj: Trajectory, weights: Weights):
     """Quadrature of the v/omega limit penalties with coefficient/duration
     partials (coefficients held fixed for the duration partial)."""
-    mu = weights.mu
-    m = traj.n_pieces
-    grad_c = np.zeros_like(traj.coeffs)
-    grad_t = np.zeros(m)
-    value = 0.0
-    for i in range(m):
-        ti = traj.durations[i]
-        taus = (_QUAD_NODES + 1) / 2 * ti
-        c = traj.coeffs[i]
-        b1 = basis_many(taus, 1)  # (Q, 6)
-        b2 = basis_many(taus, 2)
-        vel = b1 @ c  # (Q, m)
-        acc = b2 @ c
-        v2 = vel[:, 0] ** 2 + vel[:, 1] ** 2
-        pv, dv = smoothing_grad(v2 - weights.v_max**2, mu)
-        g_vals = pv
-        dgdtau = dv * 2 * (vel[:, 0] * acc[:, 0] + vel[:, 1] * acc[:, 1])
-        dg_dvel = np.zeros_like(vel)
-        dg_dvel[:, 0] = dv * 2 * vel[:, 0]
-        dg_dvel[:, 1] = dv * 2 * vel[:, 1]
-        if traj.dim >= 3:
-            w = vel[:, 2]
-            pw, dw = smoothing_grad(w**2 - weights.w_max**2, mu)
-            g_vals = g_vals + pw
-            dgdtau = dgdtau + dw * 2 * w * acc[:, 2]
-            dg_dvel[:, 2] = dw * 2 * w
-        wq = _QUAD_WEIGHTS
-        value += float(ti / 2 * np.sum(wq * g_vals))
-        grad_c[i] += (ti / 2) * np.einsum("q,qj,qd->jd", wq, b1, dg_dvel)
-        grad_t[i] += float(0.5 * np.sum(wq * g_vals)
-                           + ti / 2 * np.sum(wq * dgdtau * (_QUAD_NODES + 1) / 2))
-    return value, grad_c, grad_t
+    def integrand(vel):
+        pv, dv = smoothing_grad(vel[..., 0] ** 2 + vel[..., 1] ** 2 - weights.v_max**2,
+                                weights.mu)
+        dg = 2 * vel * dv[..., None]
+        if traj.dim < 3:
+            return pv, dg
+        w = vel[..., 2]
+        pw, dw = smoothing_grad(w**2 - weights.w_max**2, weights.mu)
+        dg[..., 2] = 2 * w * dw
+        return pv + pw, dg
 
-
-_SAFETY_SAMPLES = 16
+    return minco.time_integral(traj, integrand, 1, *minco.GAUSS_16)
 
 
 def _safety_penalty(traj: Trajectory, weights: Weights, shape: RobotShape,
-                    obstacles: np.ndarray, n_samples: int = _SAFETY_SAMPLES):
+                    obstacles: np.ndarray):
     """Time-integrated clearance penalty over fixed per-piece time fractions.
 
     J = sum_i (T_i / K) sum_j L_mu(d_safe - sdf(pose(s_j T_i), obstacle)) over
@@ -202,51 +185,40 @@ def _safety_penalty(traj: Trajectory, weights: Weights, shape: RobotShape,
     keep the functional smooth in both waypoints and durations; formulations
     built on the minimum over time change their set of active grazing windows
     discontinuously, which the optimizer exploits by parking the trajectory
-    exactly on a detection boundary where every step looks uphill."""
-    m = traj.n_pieces
-    grad_c = np.zeros_like(traj.coeffs)
-    grad_t = np.zeros(m)
-    if obstacles.shape[0] == 0:
-        return 0.0, grad_c, grad_t
-    fr = (np.arange(n_samples) + 0.5) / n_samples
-    value = 0.0
-    for i in range(m):
-        ti = traj.durations[i]
-        taus = fr * ti
-        c = traj.coeffs[i]
-        b0 = basis_many(taus, 0)  # (K, 6)
-        b1 = basis_many(taus, 1)
-        states = b0 @ c  # (K, 3)
-        vel = b1 @ c
-        pos, yaw = states[:, :2], states[:, 2]
-        cs, sn = np.cos(yaw), np.sin(yaw)
-        d = obstacles[None, :, :] - pos[:, None, :]  # (K, P, 2)
-        body = np.stack([cs[:, None] * d[:, :, 0] + sn[:, None] * d[:, :, 1],
-                         -sn[:, None] * d[:, :, 0] + cs[:, None] * d[:, :, 1]], axis=-1)
-        val, g_body = shape.sdf_gradient(body)  # (K, P), (K, P, 2)
+    exactly on a detection boundary where every step looks uphill.
+
+    An obstacle at least circumradius + d_safe from the pose has sdf >= d_safe,
+    so its penalty and derivative are exactly zero: only the closer
+    (sample, obstacle) pairs are evaluated."""
+    reach2 = (shape.circumradius + weights.d_safe) ** 2
+
+    def integrand(pose):
+        flat = pose.reshape(-1, 3)
+        d = obstacles[None, :, :] - flat[:, None, :2]  # (S, P, 2)
+        k, p = np.nonzero(np.einsum("spc,spc->sp", d, d) < reach2)
+        d = d[k, p]  # live pairs: sample k, obstacle offset d
+        cs, sn = np.cos(flat[k, 2]), np.sin(flat[k, 2])
+        body = np.stack([cs * d[:, 0] + sn * d[:, 1], -sn * d[:, 0] + cs * d[:, 1]], axis=-1)
+        val, g_body = shape.sdf_gradient(body)
         pen, dpen = smoothing_grad(weights.d_safe - val, weights.mu)
-        value += float(ti / n_samples * np.sum(pen))
-        scale = -dpen  # (K, P): d pen / d sdf value
-        if not np.any(dpen > 0):
-            continue
-        gx, gy = g_body[:, :, 0], g_body[:, :, 1]
-        df_dpos = np.stack([-(cs[:, None] * gx - sn[:, None] * gy),
-                            -(sn[:, None] * gx + cs[:, None] * gy)], axis=-1)
+        gx, gy = g_body[:, 0], g_body[:, 1]
         # d body / d yaw = R(yaw)^T S (obstacle - pos), S = 90 deg rotation
-        ux, uy = d[:, :, 1], -d[:, :, 0]
-        df_dyaw = gx * (cs[:, None] * ux + sn[:, None] * uy) \
-            + gy * (-sn[:, None] * ux + cs[:, None] * uy)
-        df_dpose = np.concatenate([df_dpos, df_dyaw[:, :, None]], axis=-1)  # (K, P, 3)
-        weighted = scale[:, :, None] * df_dpose
-        grad_c[i] += ti / n_samples * np.einsum("kj,kpd->jd", b0, weighted)
-        df_dt = np.einsum("kpd,kd->kp", df_dpose, vel)
-        grad_t[i] += float(np.sum(pen) / n_samples
-                           + ti / n_samples * np.sum(scale * df_dt * fr[:, None]))
-    return value, grad_c, grad_t
+        ux, uy = d[:, 1], -d[:, 0]
+        df_dyaw = gx * (cs * ux + sn * uy) + gy * (-sn * ux + cs * uy)
+        # d pen / d pose = -dpen * d sdf / d pose
+        dpen_dpose = dpen[:, None] * np.stack([cs * gx - sn * gy, sn * gx + cs * gy,
+                                               -df_dyaw], axis=-1)
+        n = flat.shape[0]
+        g = np.bincount(k, pen, minlength=n)
+        dg = np.stack([np.bincount(k, dpen_dpose[:, c], minlength=n) for c in range(3)],
+                      axis=-1)
+        return g.reshape(pose.shape[:-1]), dg.reshape(pose.shape)
+
+    return minco.time_integral(traj, integrand, 0, _SAFETY_NODES, _SAFETY_WEIGHTS)
 
 
 def se2_cost(traj: Trajectory, weights: Weights, shape: RobotShape,
-             obstacles: np.ndarray, n_safety_samples: int = _SAFETY_SAMPLES):
+             obstacles: np.ndarray):
     """Weighted SE(2) cost and its partials w.r.t. coefficients and durations.
 
     Returns (cost, terms, grad_c (M,6,m), grad_T (M,)).
@@ -254,8 +226,7 @@ def se2_cost(traj: Trajectory, weights: Weights, shape: RobotShape,
     jm, gc_m, gt_m = minco.control_effort_gradients(traj)
     jt = traj.total_duration
     js, gc_s, gt_s = _safety_penalty(traj, weights, shape,
-                                     np.asarray(obstacles, dtype=float).reshape(-1, 2),
-                                     n_safety_samples)
+                                     np.asarray(obstacles, dtype=float).reshape(-1, 2))
     jd, gc_d, gt_d = _dynamics_penalty(traj, weights)
     cost = weights.lam_m * jm + weights.lam_t * jt + weights.lam_s * js + weights.lam_d * jd
     grad_c = weights.lam_m * gc_m + weights.lam_s * gc_s + weights.lam_d * gc_d
@@ -273,50 +244,37 @@ def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
     """
     jm, gc_m, gt_m = minco.control_effort_gradients(traj)
     jt = traj.total_duration
-    mu = weights.mu
     # the position residual is a squared distance, so the ramp width must be
     # much tighter than mu: a dead band of mu on dist^2 would let the
     # trajectory drift sqrt(mu) (centimeters) off anchors routed along
     # tight-clearance corridors
     mu_p = weights.mu / 10
+    nodes, wq = minco.GAUSS_16
     anchor_times = anchor_fractions * traj.total_duration
-    m = traj.n_pieces
-    gp_total = 0.0
-    gr_total = 0.0
-    grad_c = np.zeros_like(traj.coeffs)
-    grad_t = np.zeros(m)
-    for i in range(m):
-        ti = traj.durations[i]
-        t0 = traj.start_times[i]
-        taus = (_QUAD_NODES + 1) / 2 * ti
-        c = traj.coeffs[i]
-        b0 = basis_many(taus, 0)
-        b1 = basis_many(taus, 1)
-        states = b0 @ c
-        vel = b1 @ c
-        idx = np.argmin(np.abs((t0 + taus)[:, None] - anchor_times[None, :]), axis=1)
-        dp = states[:, :2] - anchor_positions[idx]
-        dist2 = np.sum(dp * dp, axis=1)
-        pv, dv = smoothing_grad(dist2, mu_p)
-        dyaw = states[:, 2] - anchor_yaws[idx]
-        rot_res = 4 * (1 - np.cos(dyaw))
-        pr, dr = smoothing_grad(rot_res, mu)
-        wq = _QUAD_WEIGHTS
-        gp_total += float(ti / 2 * np.sum(wq * pv))
-        gr_total += float(ti / 2 * np.sum(wq * pr))
-        dg_dstate = np.zeros_like(states)
-        dg_dstate[:, :2] = weights.lam_p * (dv * 2)[:, None] * dp
-        dg_dstate[:, 2] = weights.lam_r * dr * 4 * np.sin(dyaw)
-        grad_c[i] += (ti / 2) * np.einsum("q,qj,qd->jd", wq, b0, dg_dstate)
-        g_vals = weights.lam_p * pv + weights.lam_r * pr
-        dgdtau = np.sum(dg_dstate * vel, axis=1)
-        grad_t[i] += float(0.5 * np.sum(wq * g_vals)
-                           + ti / 2 * np.sum(wq * dgdtau * (_QUAD_NODES + 1) / 2))
+    times = traj.start_times[:, None] + traj.durations[:, None] * nodes  # (M, Q)
+    idx = np.argmin(np.abs(times[:, :, None] - anchor_times), axis=2)  # nearest anchor
+
+    def position(state):
+        dp = state[..., :2] - anchor_positions[idx]
+        pv, dv = smoothing_grad(np.sum(dp * dp, axis=-1), mu_p)
+        dg = np.zeros_like(state)
+        dg[..., :2] = (dv * 2)[..., None] * dp
+        return pv, dg
+
+    def heading(state):
+        dyaw = state[..., 2] - anchor_yaws[idx]
+        pr, dr = smoothing_grad(4 * (1 - np.cos(dyaw)), weights.mu)
+        dg = np.zeros_like(state)
+        dg[..., 2] = dr * 4 * np.sin(dyaw)
+        return pr, dg
+
+    gp_total, gc_p, gt_p = minco.time_integral(traj, position, 0, nodes, wq)
+    gr_total, gc_r, gt_r = minco.time_integral(traj, heading, 0, nodes, wq)
     cost = weights.lam_m * jm + weights.lam_t * jt + weights.lam_p * gp_total + weights.lam_r * gr_total
-    grad_c_total = weights.lam_m * gc_m + grad_c
-    grad_t_total = weights.lam_m * gt_m + weights.lam_t + grad_t
+    grad_c = weights.lam_m * gc_m + weights.lam_p * gc_p + weights.lam_r * gc_r
+    grad_t = weights.lam_m * gt_m + weights.lam_t + weights.lam_p * gt_p + weights.lam_r * gt_r
     terms = {"J_m": jm, "J_t": jt, "G_p": gp_total, "G_R": gr_total}
-    return cost, terms, grad_c_total, grad_t_total
+    return cost, terms, grad_c, grad_t
 
 
 _T_FLOOR = 1e-3
@@ -468,7 +426,7 @@ def _run_solver(spline: MincoSpline, waypoints0, durations0, stages, budget: int
 
 def se2_optimize(sub, weights: Weights, shape: RobotShape, kernel,
                  grid: OccupancyGrid, budget: int = 150,
-                 max_waypoints: int = 9, obstacle_cap: int = 512) -> OptOutcome:
+                 max_waypoints: int = 9) -> OptOutcome:
     """Optimize one high-risk sub-problem in full SE(2) with swept-volume
     safety; the outcome's collision_free flag is set by an independent
     continuous collision check at zero margin."""
@@ -480,7 +438,7 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, kernel,
     hi = positions.max(axis=0) + pad
     center = (lo + hi) / 2
     obstacles = extract_obstacles(grid, center, float(np.max(hi - center)))
-    obstacles = farthest_point_subsample(obstacles, obstacle_cap)
+    obstacles = farthest_point_subsample(obstacles, _OBSTACLE_CAP)
     spline = MincoSpline(start, end, len(durs))
 
     def make_stage(w):

@@ -129,11 +129,13 @@ class RobotShape:
         return float(np.max(np.linalg.norm(self.vertices - self.reference, axis=1)))
 
     def sdf(self, q):
-        """Signed distance (meters) from body-frame point(s) q to the boundary."""
-        return polygon_sdf(self.vertices, q)
+        """Signed distance (meters) to the boundary from point(s) q given in the
+        body frame relative to the reference point, the point a pose places."""
+        return polygon_sdf(self.vertices, np.asarray(q, dtype=float) + self.reference)
 
     def sdf_gradient(self, q):
-        return polygon_sdf_gradient(self.vertices, q)
+        """sdf(q) and its gradient with respect to q."""
+        return polygon_sdf_gradient(self.vertices, np.asarray(q, dtype=float) + self.reference)
 
     def outline_world(self, position, yaw: float) -> np.ndarray:
         """Polygon vertices placed at a world pose (reference at `position`)."""

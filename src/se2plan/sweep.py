@@ -3,8 +3,8 @@
 The SDF of the volume swept by the robot along an SE(2) trajectory, evaluated
 at a world point x, is the minimum over time of the body SDF at the
 pose-transformed point.  The minimum is located by Lipschitz-spaced coarse
-time sampling followed by golden-section refinement of the bracket around each
-point's sampled minimum.
+time sampling followed by golden-section refinement of the bracket around every
+sampled local minimum of each point.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ def _lipschitz_bound(traj: Trajectory, shape: RobotShape, n_probe: int = 128) ->
     return v_max + shape.circumradius * w_max
 
 
-def _coarse_times(traj: Trajectory, shape: RobotShape, spacing_target: float,
+def _coarse_times(traj: Trajectory, lip: float, spacing_target: float,
                   max_samples: int = 4096) -> np.ndarray:
     t1 = traj.total_duration
-    lip = _lipschitz_bound(traj, shape)
     dt = spacing_target / (2 * max(lip, 1e-9)) if lip > 0 else t1
     n = int(np.ceil(t1 / max(dt, t1 / max_samples))) + 1
     n = max(n, 8)
@@ -68,26 +67,39 @@ def swept_sdf_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
                     spacing_target: float, refine_below: float = np.inf):
     """Vectorized swept SDF for many points.
 
-    Coarse values are shared across points; golden refinement runs only for
-    points whose sampled minimum is below refine_below + spacing_target.
+    Coarse values are shared across points; golden refinement runs on the
+    bracket of every sampled local minimum that is below
+    refine_below + spacing_target, and each point keeps its lowest value.
     Returns (values (P,), t_stars (P,)).
     """
+    return _swept_sdf(traj, shape, points, spacing_target, refine_below,
+                      _lipschitz_bound(traj, shape))
+
+
+def _swept_sdf(traj, shape, points, spacing_target, refine_below, lip):
+    """swept_sdf_batch with the Lipschitz bound supplied by the caller."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if points.shape[0] == 0:
         return np.zeros(0), np.zeros(0)
-    ts = _coarse_times(traj, shape, spacing_target)
+    ts = _coarse_times(traj, lip, spacing_target)
     vals = _batch_composed(traj, shape, points, ts)  # (T, P)
     arg = np.argmin(vals, axis=0)
     out_v = vals[arg, np.arange(points.shape[0])]
     out_t = ts[arg]
-    need = np.nonzero(out_v <= refine_below + spacing_target)[0]
-    if need.size:
-        t_r, v_r = _golden_refine_batch(traj, shape, points[need],
-                                        ts[np.maximum(arg[need] - 1, 0)],
-                                        ts[np.minimum(arg[need] + 1, len(ts) - 1)])
-        better = v_r < out_v[need]
-        out_v[need[better]] = v_r[better]
-        out_t[need[better]] = t_r[better]
+    # sampled local minima: below the previous sample, not above the next
+    padded = np.pad(vals, ((1, 1), (0, 0)), constant_values=np.inf)
+    local_min = (vals < padded[:-2]) & (vals <= padded[2:])
+    k, p = np.nonzero(local_min & (vals <= refine_below + spacing_target))
+    if k.size:
+        t_r, v_r = _golden_refine_batch(traj, shape, points[p], ts[np.maximum(k - 1, 0)],
+                                        ts[np.minimum(k + 1, len(ts) - 1)])
+        # the lowest refined value of each point: first of its run after
+        # sorting by (point, value)
+        order = np.lexsort((v_r, p))
+        first = order[np.r_[True, p[order][1:] != p[order][:-1]]]
+        better = first[v_r[first] < out_v[p[first]]]
+        out_v[p[better]] = v_r[better]
+        out_t[p[better]] = t_r[better]
     return out_v, out_t
 
 
@@ -155,11 +167,11 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid,
     if points.shape[0] == 0:
         return CollisionReport("clear")
     spacing = grid.resolution / 2  # SDF spacing target: half a map cell
-    vals, t_stars = swept_sdf_batch(traj, shape, points, spacing, refine_below=margin)
+    lip = _lipschitz_bound(traj, shape)
+    vals, t_stars = _swept_sdf(traj, shape, points, spacing, margin, lip)
     bad = np.nonzero(vals < margin - 1e-12)[0]
     if bad.size == 0:
         return CollisionReport("clear")
-    lip = _lipschitz_bound(traj, shape)
     dt_group = 2 * spacing / (2 * max(lip, 1e-9))
     order = bad[np.argsort(t_stars[bad], kind="stable")]
     hits = []

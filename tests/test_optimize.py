@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,27 @@ def test_farthest_point_subsample():
     # spread: keeps corners, drops the near-duplicate
     assert not any(np.allclose(p, [0.01, 0.0]) for p in out)
     assert farthest_point_subsample(pts, 10).shape == (5, 2)
+
+
+def test_se2_cost_memory_stays_below_the_per_piece_loop(slim_rect):
+    # one 8-piece x 512-obstacle evaluation; the per-piece loop this replaced
+    # peaked at 4.9 MB, and vectorising across pieces without the exact-zero
+    # cull of far (sample, obstacle) pairs would peak near 29 MB
+    rng = np.random.default_rng(0)
+    start = np.zeros((3, 3))
+    end = np.zeros((3, 3))
+    start[0] = [0.7, 1.25, 0.0]
+    end[0] = [3.4, 1.85, 0.0]
+    fractions = np.linspace(0.0, 1.0, 9)[1:-1, None]
+    waypoints = start[0] + fractions * (end[0] - start[0]) + rng.normal(0.0, 0.05, (7, 3))
+    _, traj = construct(start, end, waypoints, np.full(8, 0.6))
+    obstacles = np.random.default_rng(5).uniform(0.0, 4.0, (512, 2))
+    weights = Weights()
+    se2_cost(traj, weights, slim_rect, obstacles)
+    tracemalloc.start()
+    try:
+        se2_cost(traj, weights, slim_rect, obstacles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.9e6

@@ -195,8 +195,9 @@ def test_kernel_collides_cases(slim_rect):
         kernel_collides(kernel, empty, (1.5, 1.5), 18)
 
 
-def test_kernel_matches_point_in_polygon_oracle(rng):
-    shape = rectangle(0.6, 0.3)
+def _assert_kernel_matches_sdf(shape, rng):
+    """Kernel convolution against the exact SDF at every occupied cell centre,
+    both placing the reference point at the pose (criterion 05 style)."""
     kernel = build_kernel(shape, 12, 0.1)
     grid_cells = rng.random((30, 30)) < 0.05
     grid = grid_from_cells(grid_cells)
@@ -209,3 +210,16 @@ def test_kernel_matches_point_in_polygon_oracle(rng):
         body = (occ - anchor) @ rotation(kernel.yaw_of(k))
         expected = bool(np.any(shape.sdf(body) < 0)) if occ.size else False
         assert kernel_collides(kernel, grid, p, k) == expected
+
+
+def test_kernel_matches_point_in_polygon_oracle(rng):
+    _assert_kernel_matches_sdf(rectangle(0.6, 0.3), rng)
+
+
+def test_kernel_matches_sdf_with_off_origin_reference(rng):
+    # a bar drawn from the origin: its reference defaults to the centroid
+    # (0.5, 0.1), so the SDF must take points relative to the reference
+    bar = parse_shape("vertex: 0 0\nvertex: 1 0\nvertex: 1 0.2\nvertex: 0 0.2\n")
+    assert np.allclose(bar.reference, [0.5, 0.1])
+    _assert_kernel_matches_sdf(bar, rng)
+    assert bar.sdf(np.zeros(2)) == pytest.approx(-0.1, abs=1e-12)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from se2plan.minco import construct
-from se2plan.shape import RobotShape, rotation
+from se2plan.shape import (RobotShape, build_kernel, kernel_collides, parse_shape,
+                           rectangle, rotation)
 from se2plan.sweep import continuous_check, swept_boundary_samples, swept_sdf_batch
 
 from conftest import grid_from_cells
+from test_acceptance import dense_min_sdf
 
 
 def composed_at(traj, shape, x_obs, t):
@@ -101,6 +103,26 @@ def test_time_reversal_symmetry(rng, slim_rect):
         assert a == pytest.approx(b, abs=1e-6)
 
 
+def test_every_sampled_local_minimum_is_refined():
+    # the point's sampled minimum lies near t = 1.35, but a second local
+    # minimum near t = 0.63, in another bracket, is 0.9 mm deeper
+    start = np.zeros((3, 3))
+    end = np.zeros((3, 3))
+    start[0] = [-0.043553494912651924, -0.9380582280927752, 0.9906394985112565]
+    end[0] = [0.9363830500084089, -0.346206750782861, -0.30011680519254114]
+    waypoints = np.array([[0.18303512729689264, 0.5164193734318805, -0.15374443245794245],
+                          [0.13352576575968844, -0.7025942007331518, -0.9932538503749415]])
+    _, traj = construct(start, end, waypoints,
+                        [0.723354399243159, 1.0050678192753573, 1.1376542046995008])
+    point = np.array([-0.20194427208611648, 0.41368819784676053])
+    shape = rectangle(0.6, 0.3)
+    (value,), (t_star,) = swept_sdf_batch(traj, shape, point[None], 0.05)
+    oracle = dense_min_sdf(traj, shape, point, 20_000)
+    assert value <= oracle + 1e-9
+    assert abs(value - oracle) < 1e-6
+    assert t_star == pytest.approx(0.635, abs=0.01)
+
+
 def test_continuous_check_empty_grid(unit_square):
     traj = straight_se2_trajectory((1.0, 1.0), (2.0, 1.0))
     grid = grid_from_cells(np.zeros((30, 30), dtype=bool))
@@ -134,6 +156,25 @@ def test_continuous_check_clear_with_clearance(slim_rect):
     assert report.clear
     with pytest.raises(ValueError):
         continuous_check(traj, slim_rect, grid, margin=-0.1)
+
+
+def test_continuous_check_places_the_reference_point():
+    # a bar drawn from the origin, reference at its centroid (0.5, 0.1); the
+    # pose puts the centroid at (1.05, 2.05), so the bar spans x 0.55..1.55
+    # and covers the obstacle cell centred at (0.65, 2.05)
+    bar = parse_shape("vertex: 0 0\nvertex: 1 0\nvertex: 1 0.2\nvertex: 0 0.2\n")
+    cells = np.zeros((30, 30), dtype=bool)
+    cells[20, 6] = True
+    grid = grid_from_cells(cells)
+    assert np.allclose(grid.occupied_centers(), [[0.65, 2.05]])
+    traj = straight_se2_trajectory((1.05, 2.05), (1.05, 2.05))
+    outline = bar.outline_world((1.05, 2.05), 0.0)
+    assert np.all(outline.min(axis=0) < [0.65, 2.05]) and np.all(outline.max(axis=0) > [0.65, 2.05])
+    assert kernel_collides(build_kernel(bar, 12, 0.1), grid, (1.05, 2.05), 0)
+    report = continuous_check(traj, bar, grid)
+    assert not report.clear
+    (_, witness, depth), = report.hits
+    assert np.allclose(witness, [0.65, 2.05]) and depth == pytest.approx(0.1, abs=1e-9)
 
 
 def test_swept_boundary_samples(unit_square):
