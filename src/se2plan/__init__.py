@@ -7,8 +7,7 @@ continuous collision certification.
 from .gridmap import (MalformedMapError, OccupancyGrid, dump_map, extract_obstacles,
                       inflate, is_visible, load_map, visibility)
 from .minco import MincoSpline, Trajectory, construct, control_effort
-from .optimize import (OptOutcome, Weights, r2_cost, r2_optimize, se2_cost,
-                       se2_optimize, smoothing)
+from .optimize import OptOutcome, Weights, r2_cost, r2_optimize, se2_cost, se2_optimize
 from .pipeline import PlanConfig, PlanResult, SpliceError, plan, splice
 from .sequence import (MotionSequence, MotionState, SubProblem, extract_subproblems,
                        generate_sequence, safe_yaw, seg_adjust)
@@ -24,7 +23,7 @@ __all__ = [
     "inflate", "is_visible", "load_map", "visibility",
     "MincoSpline", "Trajectory", "construct", "control_effort",
     "OptOutcome", "Weights", "r2_cost", "r2_optimize", "se2_cost",
-    "se2_optimize", "smoothing",
+    "se2_optimize",
     "PlanConfig", "PlanResult", "SpliceError", "plan", "splice",
     "MotionSequence", "MotionState", "SubProblem", "extract_subproblems",
     "generate_sequence", "safe_yaw", "seg_adjust",

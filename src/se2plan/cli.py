@@ -178,14 +178,18 @@ def render_svg(grid: OccupancyGrid, shape: RobotShape, result: PlanResult,
 
 
 def run(config: RunConfig, clock=time.perf_counter) -> int:
-    """Execute one plan: write metrics.txt, trajectory.txt on success, and
-    trajectory.svg when rendering is enabled.  Returns an exit code."""
+    """Execute one plan: write metrics.txt, trajectory.txt on success (a
+    failure removes one left by an earlier run), and trajectory.svg when
+    rendering is enabled.  Returns an exit code."""
     grid, shape = _load_world(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     result = plan(grid, shape, config.start, config.goal, config.plan_config, clock=clock)
     (config.out_dir / "metrics.txt").write_text(format_metrics(result.metrics))
+    traj_path = config.out_dir / "trajectory.txt"
     if result.trajectory is not None:
-        (config.out_dir / "trajectory.txt").write_text(result.trajectory.to_text())
+        traj_path.write_text(result.trajectory.to_text())
+    else:
+        traj_path.unlink(missing_ok=True)
     if config.render:
         render_svg(grid, shape, result, config.out_dir / "trajectory.svg")
     return EXIT_OK if result.status == "success" else EXIT_PLAN

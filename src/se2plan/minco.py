@@ -21,32 +21,23 @@ from scipy.linalg import lu_factor, lu_solve
 DEGREE = 5  # quintic: N = 2s - 1 with jerk control effort (s = 3)
 NCOEF = DEGREE + 1
 
-# falling-factorial table: _DERIV_FACT[r][j] = j!/(j-r)! for t^j derivative r
-_DERIV_FACT = np.zeros((NCOEF, NCOEF))
+# falling-factorial table: _DERIV_FACT[r][j] = j!/(j-r)! for t^j derivative r;
+# row NCOEF (every order above DEGREE) is zero
+_DERIV_FACT = np.zeros((NCOEF + 1, NCOEF))
 for _r in range(NCOEF):
     for _j in range(_r, NCOEF):
         _DERIV_FACT[_r, _j] = np.prod(np.arange(_j - _r + 1, _j + 1)) if _r else 1.0
+_POWERS = np.maximum(np.arange(NCOEF) - np.arange(NCOEF + 1)[:, None], 0)
 
 
-def basis(t: float, order: int) -> np.ndarray:
-    """Derivative of the natural basis [1, t, ..., t^5] of the given order."""
-    out = np.zeros(NCOEF)
-    if order > DEGREE:
-        return out
-    for j in range(order, NCOEF):
-        out[j] = _DERIV_FACT[order, j] * t ** (j - order)
-    return out
+def basis_many(ts, order) -> np.ndarray:
+    """Derivative rows of the natural basis [1, t, ..., t^5].
 
-
-def basis_many(ts, order: int) -> np.ndarray:
-    """Vectorized basis rows: ts.shape + (6,), with basis(t, order) per time."""
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros(ts.shape + (NCOEF,))
-    if order > DEGREE:
-        return out
-    for j in range(order, NCOEF):
-        out[..., j] = _DERIV_FACT[order, j] * ts ** (j - order)
-    return out
+    ts and order (an int or an int array) broadcast against each other; the
+    result has that broadcast shape + (6,).
+    """
+    order = np.minimum(order, NCOEF)
+    return _DERIV_FACT[order] * np.asarray(ts, dtype=float)[..., None] ** _POWERS[order]
 
 
 def _unit_gauss(n: int):
@@ -98,20 +89,12 @@ class Trajectory:
     def start_times(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum(self.durations)[:-1]])
 
-    def piece_index(self, t: float) -> int:
-        edges = np.cumsum(self.durations)
-        i = int(np.searchsorted(edges, t, side="right"))
-        return min(i, self.n_pieces - 1)
-
     def eval(self, t: float, order: int = 0) -> np.ndarray:
         """Evaluate the trajectory (or a time derivative) at global time t."""
         total = self.total_duration
         if t < -1e-12 or t > total + 1e-12:
             raise ValueError(f"t={t} outside [0, {total}]")
-        t = min(max(t, 0.0), total)
-        i = self.piece_index(t)
-        local = t - self.start_times[i]
-        return basis(local, order) @ self.coeffs[i]
+        return self.eval_many([t], order)[0]
 
     def eval_many(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
         """Vectorized evaluation at sorted or unsorted times, shape (len(ts), m)."""
@@ -198,11 +181,15 @@ def control_effort_gradients(traj: Trajectory):
 class MincoSpline:
     """Minimum-jerk spline parameterized by interior waypoints and durations.
 
-    Boundary position/velocity/acceleration are fixed at construction;
-    set_params() LU-factorises the dense interpolation system and solves it
-    for the coefficients,
-    and gradients() back-propagates coefficient/duration cost gradients to the
-    (waypoint, duration) parameters through the adjoint of that solve.
+    Boundary position/velocity/acceleration are fixed at construction, and so
+    is the pattern of the dense 6M x 6M interpolation system: which rows hold
+    the constants basis(0, r) and which hold basis(T_i, r) of which piece i.
+    set_params() scatters the basis_many rows of the current durations into
+    that pattern in one step, LU-factorises the system and solves it for the
+    coefficients.  gradients() back-propagates coefficient/duration cost
+    gradients to the (waypoint, duration) parameters through the adjoint of
+    that solve; every duration partial comes from the same pattern, since
+    d/dT basis(T, r) = basis(T, r + 1).
     """
 
     def __init__(self, start_state: np.ndarray, end_state: np.ndarray, n_pieces: int):
@@ -218,7 +205,30 @@ class MincoSpline:
         self.dim = start_state.shape[1]
         self._traj = None
         self._lu = None
-        self._waypoints = None
+        m = n_pieces
+        n = NCOEF * m
+        # junction j (between pieces j and j + 1) owns rows 3 + 6j ... 3 + 6j + 5:
+        # left piece hits waypoint j, right piece starts at it, C1..C4 continuity
+        self._junction = 3 + NCOEF * np.arange(m - 1)
+        # rows holding basis(T_i, r) of piece i: the left piece's rows of each
+        # junction, then the end boundary
+        self._row = np.concatenate([(self._junction[:, None] + [0, 2, 3, 4, 5]).ravel(),
+                                    n - 3 + np.arange(3)])
+        self._piece = np.concatenate([np.repeat(np.arange(m - 1), 5), np.full(3, m - 1)])
+        self._order = np.concatenate([np.tile(np.arange(5), m - 1), np.arange(3)])
+        self._flat = (self._row[:, None] * n + NCOEF * self._piece[:, None]
+                      + np.arange(NCOEF)).ravel()
+        # rows holding the constants basis(0, r): the start boundary and the
+        # right piece's rows of each junction (continuity rows negated)
+        at_zero = basis_many(0.0, np.arange(5))
+        self._mat = np.zeros((n, n))
+        self._mat[:3, :NCOEF] = at_zero[:3]
+        for j, row in enumerate(self._junction):
+            self._mat[row + 1 : row + 6, NCOEF * (j + 1) : NCOEF * (j + 2)] = (
+                at_zero * [[1], [-1], [-1], [-1], [-1]])
+        self._rhs = np.zeros((n, self.dim))
+        self._rhs[:3] = start_state
+        self._rhs[n - 3 :] = end_state
 
     @property
     def trajectory(self) -> Trajectory:
@@ -234,40 +244,13 @@ class MincoSpline:
             raise ValueError(f"expected {m} durations")
         if np.any(durations <= 0):
             raise ValueError("durations must be positive")
-        n = NCOEF * m
-        mat = np.zeros((n, n))
-        rhs = np.zeros((n, self.dim))
-        # start boundary: p, v, a of piece 0 at local 0
-        for r in range(3):
-            mat[r, 0:NCOEF] = basis(0.0, r)
-            rhs[r] = self.start_state[r]
-        row = 3
-        for j in range(1, m):
-            tj = durations[j - 1]
-            colL = NCOEF * (j - 1)
-            colR = NCOEF * j
-            # left piece hits the waypoint
-            mat[row, colL : colL + NCOEF] = basis(tj, 0)
-            rhs[row] = waypoints[j - 1]
-            row += 1
-            # right piece starts at the waypoint
-            mat[row, colR : colR + NCOEF] = basis(0.0, 0)
-            rhs[row] = waypoints[j - 1]
-            row += 1
-            # C1..C4 continuity
-            for r in range(1, 5):
-                mat[row, colL : colL + NCOEF] = basis(tj, r)
-                mat[row, colR : colR + NCOEF] = -basis(0.0, r)
-                row += 1
-        tm = durations[m - 1]
-        colL = NCOEF * (m - 1)
-        for r in range(3):
-            mat[row, colL : colL + NCOEF] = basis(tm, r)
-            rhs[row] = self.end_state[r]
-            row += 1
+        mat = self._mat.copy()
+        mat.flat[self._flat] = basis_many(durations[self._piece], self._order).ravel()
+        rhs = self._rhs.copy()
+        rhs[self._junction] = waypoints
+        rhs[self._junction + 1] = waypoints
         self._lu = lu_factor(mat)
         coef = lu_solve(self._lu, rhs)
-        self._waypoints = waypoints
         self._traj = Trajectory(durations.copy(), coef.reshape(m, NCOEF, self.dim))
         return self._traj
 
@@ -279,35 +262,17 @@ class MincoSpline:
         """
         if self._traj is None:
             raise RuntimeError("set_params() has not been called")
-        m = self.n_pieces
-        grad_c = np.asarray(grad_c, dtype=float).reshape(NCOEF * m, self.dim)
+        grad_c = np.asarray(grad_c, dtype=float).reshape(NCOEF * self.n_pieces, self.dim)
         lam = lu_solve(self._lu, grad_c, trans=1)  # solve mat^T lam = grad_c
-        grad_q = np.zeros((max(m - 1, 0), self.dim))
-        grad_dur = np.asarray(grad_t, dtype=float).copy()
-        coef = self._traj.coeffs.reshape(NCOEF * m, self.dim)
-        durations = self._traj.durations
-        for j in range(1, m):
-            base = 3 + 6 * (j - 1)
-            # rhs rows carrying waypoint j-1: left-hit and right-start rows
-            grad_q[j - 1] = lam[base] + lam[base + 1]
-            # rows of junction j depend on T_{j-1} through basis(T_{j-1}, r);
-            # d basis(t, r)/dt = basis(t, r + 1)
-            tj = durations[j - 1]
-            colL = NCOEF * (j - 1)
-            cL = coef[colL : colL + NCOEF]
-            total = np.sum((basis(tj, 1) @ cL) * lam[base])
-            for r in range(1, 5):
-                total += np.sum((basis(tj, r + 1) @ cL) * lam[base + 1 + r])
-            grad_dur[j - 1] = grad_t[j - 1] - float(total)
-        # final boundary rows depend on T_M
-        tm = durations[m - 1]
-        colL = NCOEF * (m - 1)
-        cL = coef[colL : colL + NCOEF]
-        base = 3 + 6 * (m - 1)
-        total = 0.0
-        for r in range(3):
-            total += np.sum((basis(tm, r + 1) @ cL) * lam[base + r])
-        grad_dur[m - 1] = grad_t[m - 1] - float(total)
+        # both rows of junction j that load waypoint j
+        grad_q = lam[self._junction] + lam[self._junction + 1]
+        # dJ/dT_i = grad_t_i - sum over the rows reading T_i of lam_row . (d row/dT_i) c_i
+        traj = self._traj
+        partial = np.einsum("kj,kjd,kd->k",
+                            basis_many(traj.durations[self._piece], self._order + 1),
+                            traj.coeffs[self._piece], lam[self._row])
+        grad_dur = (np.asarray(grad_t, dtype=float)
+                    - np.bincount(self._piece, weights=partial, minlength=self.n_pieces))
         return grad_q, grad_dur
 
 

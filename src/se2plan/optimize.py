@@ -26,21 +26,15 @@ _SAFETY_SAMPLES = 16
 # midpoint rule: fixed per-piece time fractions
 _SAFETY_NODES = (np.arange(_SAFETY_SAMPLES) + 0.5) / _SAFETY_SAMPLES
 _SAFETY_WEIGHTS = np.full(_SAFETY_SAMPLES, 1.0 / _SAFETY_SAMPLES)
-_OBSTACLE_CAP = 512  # obstacle points an SE(2) window's safety term keeps
 
 
 class DegenerateInputError(ValueError):
     """Raised when a sub-problem has no spatial extent to optimize."""
 
 
-def smoothing(x: float, mu: float) -> float:
-    """C^2 smoothed ramp: 0 for x <= 0, cubic blend on (0, mu), x - mu/2 after."""
-    v, _ = smoothing_grad(x, mu)
-    return v
-
-
 def smoothing_grad(x, mu: float):
-    """Value and derivative of the smoothed ramp (vectorized)."""
+    """Value and derivative of the C^2 smoothed ramp (vectorized): 0 for
+    x <= 0, cubic blend on (0, mu), x - mu/2 after."""
     if mu <= 0:
         raise ValueError("mu must be > 0")
     x = np.asarray(x, dtype=float)
@@ -438,7 +432,6 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, kernel,
     hi = positions.max(axis=0) + pad
     center = (lo + hi) / 2
     obstacles = extract_obstacles(grid, center, float(np.max(hi - center)))
-    obstacles = farthest_point_subsample(obstacles, _OBSTACLE_CAP)
     spline = MincoSpline(start, end, len(durs))
 
     def make_stage(w):
@@ -479,18 +472,3 @@ def r2_optimize(sub, weights: Weights, kernel=None, budget: int = 100,
 
     traj, terms, iters, converged, _ = _run_solver(spline, wps, durs, [cost_fn], budget)
     return OptOutcome(traj, converged, terms, iters, collision_free=None)
-
-
-def farthest_point_subsample(points: np.ndarray, cap: int) -> np.ndarray:
-    """Deterministic farthest-point subsampling to at most cap points."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = points.shape[0]
-    if n <= cap:
-        return points
-    chosen = [0]
-    d = np.linalg.norm(points - points[0], axis=1)
-    for _ in range(cap - 1):
-        nxt = int(np.argmax(d))
-        chosen.append(nxt)
-        d = np.minimum(d, np.linalg.norm(points - points[nxt], axis=1))
-    return points[np.sort(chosen)]

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import minco
 from .gridmap import OccupancyGrid, inflate
-from .minco import NCOEF, Trajectory, basis
+from .minco import Trajectory, basis_many
 from .optimize import DegenerateInputError, OptOutcome, Weights, r2_optimize, se2_optimize
 from .sequence import SubProblem, extract_subproblems, generate_sequence
 from .shape import RobotShape, build_kernel, inscribed_radius, kernel_collides, rotation
@@ -66,51 +66,24 @@ class SpliceError(ValueError):
     """Raised when adjacent pieces do not share a junction state."""
 
 
-def _resolve_end_piece(duration: float, start_state: np.ndarray,
-                       end_state: np.ndarray) -> np.ndarray:
-    """Quintic coefficients from full boundary states (3 derivatives a side)."""
-    dim = start_state.shape[1]
-    mat = np.zeros((NCOEF, NCOEF))
-    rhs = np.zeros((NCOEF, dim))
-    for r in range(3):
-        mat[r] = basis(0.0, r)
-        rhs[r] = start_state[r]
-        mat[3 + r] = basis(duration, r)
-        rhs[3 + r] = end_state[r]
-    return np.linalg.solve(mat, rhs)
-
-
 def splice(pieces: list[Trajectory]) -> Trajectory:
-    """Concatenate piece trajectories into one, forcing velocity and
-    acceleration agreement at the junctions (average of the two sides) by
-    re-solving the adjacent end pieces; junction positions are preserved."""
+    """Concatenate sub-trajectories into one.
+
+    Every sub-problem starts and ends at rest, so adjacent sub-trajectories
+    already share their junction state; position, velocity and acceleration
+    are checked to agree within 1e-6 at each junction, not blended.
+    """
     if not pieces:
         raise SpliceError("nothing to splice")
-    dims = {p.dim for p in pieces}
-    if len(dims) != 1:
+    if len({p.dim for p in pieces}) != 1:
         raise SpliceError("piece dimensions differ")
-    if len(pieces) == 1:
-        return Trajectory(np.array(pieces[0].durations).copy(),
-                          np.array(pieces[0].coeffs).copy())
-    coeff_blocks = [np.array(p.coeffs).copy() for p in pieces]
-    durations = [np.array(p.durations).copy() for p in pieces]
-    for idx in range(len(pieces) - 1):
-        ca, cb = coeff_blocks[idx], coeff_blocks[idx + 1]
-        ta, tb = durations[idx][-1], durations[idx + 1][0]
-        p_end = basis(ta, 0) @ ca[-1]
-        p_start = basis(0.0, 0) @ cb[0]
-        if np.max(np.abs(p_end - p_start)) > 1e-6:
-            raise SpliceError(f"junction position mismatch: {p_end} vs {p_start}")
-        junction = np.stack([
-            (p_end + p_start) / 2,
-            (basis(ta, 1) @ ca[-1] + basis(0.0, 1) @ cb[0]) / 2,
-            (basis(ta, 2) @ ca[-1] + basis(0.0, 2) @ cb[0]) / 2,
-        ])
-        start_a = np.stack([basis(0.0, r) @ ca[-1] for r in range(3)])
-        end_b = np.stack([basis(tb, r) @ cb[0] for r in range(3)])
-        ca[-1] = _resolve_end_piece(ta, start_a, junction)
-        cb[0] = _resolve_end_piece(tb, junction, end_b)
-    return Trajectory(np.concatenate(durations), np.concatenate(coeff_blocks, axis=0))
+    for k, (a, b) in enumerate(zip(pieces, pieces[1:])):
+        end = basis_many(a.durations[-1], np.arange(3)) @ a.coeffs[-1]
+        start = basis_many(0.0, np.arange(3)) @ b.coeffs[0]
+        if np.max(np.abs(end - start)) > 1e-6:
+            raise SpliceError(f"junction {k} state mismatch (p, v, a): {end} vs {start}")
+    return Trajectory(np.concatenate([p.durations for p in pieces]),
+                      np.concatenate([p.coeffs for p in pieces]))
 
 
 def _align_yaw(trajs: list[Trajectory]) -> list[Trajectory]:

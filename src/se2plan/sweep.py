@@ -198,9 +198,5 @@ def swept_boundary_samples(traj: Trajectory, shape: RobotShape, n: int) -> list[
     if n < 1:
         raise ValueError("n must be >= 1")
     ts = np.linspace(0.0, traj.total_duration, n) if n > 1 else np.array([0.0])
-    outlines = []
-    for t in ts:
-        state = traj.eval(t, 0)
-        yaw = state[2] if traj.dim >= 3 else 0.0
-        outlines.append(shape.outline_world(state[:2], yaw))
-    return outlines
+    return [shape.outline_world(state[:2], state[2] if traj.dim >= 3 else 0.0)
+            for state in traj.eval_many(ts, 0)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from se2plan.minco import (MincoSpline, Trajectory, basis, construct,
+from se2plan.minco import (MincoSpline, Trajectory, basis_many, construct,
                            control_effort, control_effort_gradients)
 
 
@@ -60,8 +60,8 @@ def test_junction_continuity_orders_0_to_4(rng):
     for i in range(m - 1):
         t_local = traj.durations[i]
         for order in range(5):
-            left = basis(t_local, order) @ traj.coeffs[i]
-            right = basis(0.0, order) @ traj.coeffs[i + 1]
+            left = basis_many(t_local, order) @ traj.coeffs[i]
+            right = basis_many(0.0, order) @ traj.coeffs[i + 1]
             assert np.max(np.abs(left - right)) < 1e-8
 
 
@@ -98,8 +98,8 @@ def test_effort_is_minimal_among_interpolants(rng):
             mat = np.zeros((6, 6))
             rhs = np.zeros((6, 1))
             for r in range(3):
-                mat[r] = basis(0.0, r)
-                mat[3 + r] = basis(durations[i], r)
+                mat[r] = basis_many(0.0, r)
+                mat[3 + r] = basis_many(durations[i], r)
             rhs[0], rhs[1], rhs[2] = node_pos[i], node_vel[i], node_acc[i]
             rhs[3], rhs[4], rhs[5] = node_pos[i + 1], node_vel[i + 1], node_acc[i + 1]
             coeffs.append(np.linalg.solve(mat, rhs))
@@ -205,3 +205,84 @@ def test_arc_length_straight_line():
     end[0] = [3.0, 4.0]
     _, traj = construct(start, end, np.zeros((0, 2)), [2.0])
     assert traj.arc_length() == pytest.approx(5.0, rel=1e-6)
+
+
+def _ref_basis(t, order):
+    """Scalar power-basis row, one entry at a time."""
+    out = np.zeros(6)
+    for j in range(order, 6):
+        out[j] = np.prod(np.arange(j - order + 1, j + 1)) * t ** (j - order)
+    return out
+
+
+def _ref_assembly(start, end, waypoints, durations):
+    """The interpolation system assembled one row at a time."""
+    m, dim = len(durations), start.shape[1]
+    mat = np.zeros((6 * m, 6 * m))
+    rhs = np.zeros((6 * m, dim))
+    for r in range(3):
+        mat[r, 0:6] = _ref_basis(0.0, r)
+        rhs[r] = start[r]
+    row = 3
+    for j in range(1, m):
+        tj = durations[j - 1]
+        col_l, col_r = 6 * (j - 1), 6 * j
+        mat[row, col_l : col_l + 6] = _ref_basis(tj, 0)
+        rhs[row] = waypoints[j - 1]
+        mat[row + 1, col_r : col_r + 6] = _ref_basis(0.0, 0)
+        rhs[row + 1] = waypoints[j - 1]
+        row += 2
+        for r in range(1, 5):
+            mat[row, col_l : col_l + 6] = _ref_basis(tj, r)
+            mat[row, col_r : col_r + 6] = -_ref_basis(0.0, r)
+            row += 1
+    for r in range(3):
+        mat[row, 6 * (m - 1) : 6 * m] = _ref_basis(durations[m - 1], r)
+        rhs[row] = end[r]
+        row += 1
+    return mat, rhs
+
+
+def _ref_adjoint(mat, coef, durations, grad_c, grad_t):
+    """Loop adjoint: waypoint rows per junction, duration partials row by row."""
+    m, dim = len(durations), coef.shape[1]
+    lam = np.linalg.solve(mat.T, grad_c.reshape(6 * m, dim))
+    grad_q = np.zeros((m - 1, dim))
+    grad_dur = np.array(grad_t, dtype=float)
+    for j in range(1, m):
+        base = 3 + 6 * (j - 1)
+        grad_q[j - 1] = lam[base] + lam[base + 1]
+        tj = durations[j - 1]
+        c_l = coef[6 * (j - 1) : 6 * j]
+        total = np.sum((_ref_basis(tj, 1) @ c_l) * lam[base])
+        for r in range(1, 5):
+            total += np.sum((_ref_basis(tj, r + 1) @ c_l) * lam[base + 1 + r])
+        grad_dur[j - 1] -= total
+    base = 3 + 6 * (m - 1)
+    c_l = coef[6 * (m - 1) :]
+    for r in range(3):
+        grad_dur[m - 1] -= np.sum((_ref_basis(durations[m - 1], r + 1) @ c_l) * lam[base + r])
+    return grad_q, grad_dur
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pattern_assembly_matches_row_by_row_reference(m, dim, rng):
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    start = rng.standard_normal((3, dim))
+    end = rng.standard_normal((3, dim))
+    waypoints = rng.standard_normal((m - 1, dim))
+    durations = rng.uniform(0.3, 2.0, m)
+    spline, traj = construct(start, end, waypoints, durations)
+    mat, rhs = _ref_assembly(start, end, waypoints, durations)
+    coef = np.linalg.solve(mat, rhs)
+    assert rel(traj.coeffs.reshape(6 * m, dim), coef) < 1e-12
+    grad_c = rng.standard_normal((m, 6, dim))
+    grad_t = rng.standard_normal(m)
+    gq, gt = spline.gradients(grad_c, grad_t)
+    ref_q, ref_t = _ref_adjoint(mat, coef, durations, grad_c, grad_t)
+    if m > 1:
+        assert rel(gq, ref_q) < 1e-12
+    assert rel(gt, ref_t) < 1e-12

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from se2plan.minco import MincoSpline, construct, control_effort
-from se2plan.optimize import (DegenerateInputError, Weights, farthest_point_subsample,
-                              lbfgs, r2_cost, r2_optimize, se2_cost, se2_optimize,
-                              smoothing, smoothing_grad)
+from se2plan.optimize import (DegenerateInputError, Weights, lbfgs, r2_cost, r2_optimize,
+                              se2_cost, se2_optimize, smoothing_grad)
 from se2plan.sequence import HIGH_RISK, LOW_RISK, MotionState, SubProblem
 from se2plan.shape import build_kernel
 from se2plan.sweep import continuous_check
@@ -16,12 +15,12 @@ from conftest import empty_grid, grid_from_cells
 
 def test_smoothing_closed_form():
     mu = 0.01
-    assert smoothing(-1.0, mu) == 0.0
-    assert smoothing(0.0, mu) == 0.0
-    assert smoothing(mu, mu) == pytest.approx(mu / 2)
-    assert smoothing(0.5, mu) == pytest.approx(0.5 - mu / 2)
+    assert smoothing_grad(-1.0, mu)[0] == 0.0
+    assert smoothing_grad(0.0, mu)[0] == 0.0
+    assert smoothing_grad(mu, mu)[0] == pytest.approx(mu / 2)
+    assert smoothing_grad(0.5, mu)[0] == pytest.approx(0.5 - mu / 2)
     with pytest.raises(ValueError):
-        smoothing(0.1, 0.0)
+        smoothing_grad(0.1, 0.0)
 
 
 def test_smoothing_seams_are_c2():
@@ -45,7 +44,7 @@ def test_smoothing_grad_matches_fd(rng):
         if min(abs(x), abs(x - mu)) < 10 * h:
             continue
         _, d = smoothing_grad(float(x), mu)
-        fd = (smoothing(x + h, mu) - smoothing(x - h, mu)) / (2 * h)
+        fd = (smoothing_grad(x + h, mu)[0] - smoothing_grad(x - h, mu)[0]) / (2 * h)
         assert d == pytest.approx(fd, abs=1e-5)
 
 
@@ -255,15 +254,6 @@ def test_se2_optimize_impossible_gap_fails_cleanly(slim_rect):
     sub = make_sub("SE2", positions)
     out = se2_optimize(sub, Weights(), slim_rect, kernel, grid, budget=40)
     assert out.collision_free is False
-
-
-def test_farthest_point_subsample():
-    pts = np.array([[0.0, 0.0], [0.01, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    out = farthest_point_subsample(pts, 3)
-    assert out.shape == (3, 2)
-    # spread: keeps corners, drops the near-duplicate
-    assert not any(np.allclose(p, [0.01, 0.0]) for p in out)
-    assert farthest_point_subsample(pts, 10).shape == (5, 2)
 
 
 def test_se2_cost_memory_stays_below_the_per_piece_loop(slim_rect):

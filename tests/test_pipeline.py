@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from se2plan.minco import basis, construct
+from se2plan.minco import construct
 from se2plan.pipeline import PlanConfig, SpliceError, _kind_lengths, plan, splice
 from se2plan.shape import rectangle
 
@@ -81,22 +81,28 @@ def test_splice_single_piece_copy():
     assert not np.shares_memory(out.coeffs, traj.coeffs)  # defensive copy
 
 
-def test_splice_two_pieces_junction_agreement():
-    a = single_piece([0, 0, 0], [1.0, 0.5, 0.3], v1=(0.5, 0.1, 0.0))
-    b = single_piece([1.0, 0.5, 0.3], [2.0, 0.0, -0.2], v0=(0.3, -0.1, 0.2))
-    out = splice([a, b])
-    assert out.n_pieces == 2
-    t_j = out.durations[0]
-    for order in range(3):
-        left = basis(t_j, order) @ out.coeffs[0]
-        right = basis(0.0, order) @ out.coeffs[1]
-        assert np.allclose(left, right, atol=1e-8)
-    # junction velocity is the average of the two sides
-    v_avg = (np.array([0.5, 0.1, 0.0]) + np.array([0.3, -0.1, 0.2])) / 2
-    assert np.allclose(basis(t_j, 1) @ out.coeffs[0], v_avg, atol=1e-8)
-    # outer boundary states are untouched
-    assert np.allclose(out.eval(0.0, 0), [0, 0, 0], atol=1e-9)
-    assert np.allclose(out.eval(out.total_duration, 0), [2.0, 0.0, -0.2], atol=1e-9)
+def test_splice_junction_velocity_or_acceleration_mismatch_raises():
+    # the positions meet, but one side arrives moving (then accelerating)
+    # while the other starts at rest: splicing checks, it does not blend
+    b = single_piece([1.0, 0.5, 0.3], [2.0, 0.0, -0.2])
+    for order in (1, 2):
+        start = np.zeros((3, 3))
+        end = np.zeros((3, 3))
+        end[0] = [1.0, 0.5, 0.3]
+        end[order] = [0.5, 0.1, 0.0]
+        _, a = construct(start, end, np.zeros((0, 3)), [1.0])
+        with pytest.raises(SpliceError):
+            splice([a, b])
+
+
+def test_splice_rest_to_rest_is_concatenation():
+    a = single_piece([0, 0, 0], [1, 0, 0.5], T=1.0)
+    b = single_piece([1, 0, 0.5], [1, 1, 0], T=2.0)
+    c = single_piece([1, 1, 0], [0, 1, -0.4], T=0.5)
+    out = splice([a, b, c])
+    assert np.array_equal(out.coeffs, np.concatenate([a.coeffs, b.coeffs, c.coeffs]))
+    assert np.array_equal(out.durations, np.concatenate([a.durations, b.durations,
+                                                         c.durations]))
 
 
 def test_splice_three_pieces_durations_and_positions():

@@ -10,7 +10,7 @@ relative 1e-12 (summation-order rounding is about 1e-13 here).
 import numpy as np
 import pytest
 
-from se2plan.minco import NCOEF, _DERIV_FACT, basis, basis_many, construct
+from se2plan.minco import NCOEF, _DERIV_FACT, basis_many, construct
 from se2plan.minco import control_effort, control_effort_gradients
 from se2plan.optimize import Weights, _dynamics_penalty, _safety_penalty, r2_cost, smoothing_grad
 from se2plan.shape import RobotShape, rectangle
@@ -36,7 +36,7 @@ def ref_control_effort_gradients(traj):
         c = traj.coeffs[i]
         value += float(np.einsum("jd,jk,kd->", c, q, c))
         grad_c[i] = 2 * q @ c
-        jerk_end = basis(ti, 3) @ c
+        jerk_end = basis_many(ti, 3) @ c
         grad_t[i] = float(np.dot(jerk_end, jerk_end))
     return value, grad_c, grad_t
 
