@@ -12,7 +12,7 @@ from .pipeline import PlanConfig, PlanResult, SpliceError, plan, splice
 from .sequence import (MotionSequence, MotionState, SubProblem, extract_subproblems,
                        generate_sequence, safe_yaw, seg_adjust)
 from .shape import (GeometryError, RobotKernel, RobotShape, build_kernel, inscribed_radius,
-                    kernel_collides, parse_shape, rectangle, sdf_gradient_world)
+                    kernel_collides, parse_shape, rectangle)
 from .sweep import CollisionReport, continuous_check, swept_boundary_samples, swept_sdf_batch
 from .topo import (InfeasibleEndpointError, Se2Path, Se2Waypoint, build_roadmap,
                    dedup_paths, extract_paths, orientation_interp, push_away,
@@ -29,7 +29,6 @@ __all__ = [
     "generate_sequence", "safe_yaw", "seg_adjust",
     "GeometryError", "RobotKernel", "RobotShape", "build_kernel",
     "inscribed_radius", "kernel_collides", "parse_shape", "rectangle",
-    "sdf_gradient_world",
     "CollisionReport", "continuous_check", "swept_boundary_samples",
     "swept_sdf_batch",
     "InfeasibleEndpointError", "Se2Path", "Se2Waypoint", "build_roadmap",

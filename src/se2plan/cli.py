@@ -178,9 +178,11 @@ def render_svg(grid: OccupancyGrid, shape: RobotShape, result: PlanResult,
 
 
 def run(config: RunConfig, clock=time.perf_counter) -> int:
-    """Execute one plan: write metrics.txt, trajectory.txt on success (a
-    failure removes one left by an earlier run), and trajectory.svg when
-    rendering is enabled.  Returns an exit code."""
+    """Execute one plan: write metrics.txt, trajectory.txt on success, and
+    trajectory.svg when rendering is enabled.  A trajectory.txt or
+    trajectory.svg that this run does not write is removed, so out_dir never
+    pairs these metrics with an earlier run's outputs.  Returns an exit
+    code."""
     grid, shape = _load_world(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     result = plan(grid, shape, config.start, config.goal, config.plan_config, clock=clock)
@@ -190,8 +192,11 @@ def run(config: RunConfig, clock=time.perf_counter) -> int:
         traj_path.write_text(result.trajectory.to_text())
     else:
         traj_path.unlink(missing_ok=True)
+    svg_path = config.out_dir / "trajectory.svg"
     if config.render:
-        render_svg(grid, shape, result, config.out_dir / "trajectory.svg")
+        render_svg(grid, shape, result, svg_path)
+    else:
+        svg_path.unlink(missing_ok=True)
     return EXIT_OK if result.status == "success" else EXIT_PLAN
 
 

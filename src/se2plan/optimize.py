@@ -160,8 +160,6 @@ def _dynamics_penalty(traj: Trajectory, weights: Weights):
         pv, dv = smoothing_grad(vel[..., 0] ** 2 + vel[..., 1] ** 2 - weights.v_max**2,
                                 weights.mu)
         dg = 2 * vel * dv[..., None]
-        if traj.dim < 3:
-            return pv, dg
         w = vel[..., 2]
         pw, dw = smoothing_grad(w**2 - weights.w_max**2, weights.mu)
         dg[..., 2] = 2 * w * dw
@@ -189,19 +187,10 @@ def _safety_penalty(traj: Trajectory, weights: Weights, shape: RobotShape,
     def integrand(pose):
         flat = pose.reshape(-1, 3)
         d = obstacles[None, :, :] - flat[:, None, :2]  # (S, P, 2)
-        k, p = np.nonzero(np.einsum("spc,spc->sp", d, d) < reach2)
-        d = d[k, p]  # live pairs: sample k, obstacle offset d
-        cs, sn = np.cos(flat[k, 2]), np.sin(flat[k, 2])
-        body = np.stack([cs * d[:, 0] + sn * d[:, 1], -sn * d[:, 0] + cs * d[:, 1]], axis=-1)
-        val, g_body = shape.sdf_gradient(body)
+        k, p = np.nonzero(np.einsum("spc,spc->sp", d, d) < reach2)  # live pairs
+        val, dval = shape.sdf_at_pose(obstacles[p], flat[k, :2], flat[k, 2])
         pen, dpen = smoothing_grad(weights.d_safe - val, weights.mu)
-        gx, gy = g_body[:, 0], g_body[:, 1]
-        # d body / d yaw = R(yaw)^T S (obstacle - pos), S = 90 deg rotation
-        ux, uy = d[:, 1], -d[:, 0]
-        df_dyaw = gx * (cs * ux + sn * uy) + gy * (-sn * ux + cs * uy)
-        # d pen / d pose = -dpen * d sdf / d pose
-        dpen_dpose = dpen[:, None] * np.stack([cs * gx - sn * gy, sn * gx + cs * gy,
-                                               -df_dyaw], axis=-1)
+        dpen_dpose = -dpen[:, None] * dval
         n = flat.shape[0]
         g = np.bincount(k, pen, minlength=n)
         dg = np.stack([np.bincount(k, dpen_dpose[:, c], minlength=n) for c in range(3)],

@@ -14,9 +14,9 @@ import numpy as np
 from . import minco
 from .gridmap import OccupancyGrid, inflate
 from .minco import Trajectory, basis_many
-from .optimize import DegenerateInputError, OptOutcome, Weights, r2_optimize, se2_optimize
-from .sequence import SubProblem, extract_subproblems, generate_sequence
-from .shape import RobotShape, build_kernel, inscribed_radius, kernel_collides, rotation
+from .optimize import DegenerateInputError, Weights, r2_optimize, se2_optimize
+from .sequence import extract_subproblems, generate_sequence
+from .shape import RobotShape, build_kernel, inscribed_radius, kernel_collides
 from .sweep import CollisionReport, continuous_check
 from .topo import (InfeasibleEndpointError, build_roadmap, dedup_paths, extract_paths,
                    shortcut, simplify_path)
@@ -90,9 +90,7 @@ def _align_yaw(trajs: list[Trajectory]) -> list[Trajectory]:
     """Shift each sub-trajectory's yaw channel by a multiple of 2*pi so that
     junction yaws are numerically continuous (per-sub unwrapping can differ
     by full turns across a shared junction)."""
-    if not trajs or trajs[0].dim < 3:
-        return trajs
-    out = [trajs[0]]
+    out = trajs[:1]
     for tr in trajs[1:]:
         prev = out[-1]
         end_yaw = float(prev.eval(prev.total_duration, 0)[2])
@@ -121,20 +119,12 @@ def _free_orientation(kernel, grid, p, yaw: float):
     return None
 
 
-def _sub_slice(traj: Trajectory, piece_counts: list[int], index: int) -> Trajectory:
-    """Extract sub-trajectory `index` out of a spliced trajectory."""
-    start = sum(piece_counts[:index])
-    stop = start + piece_counts[index]
-    return Trajectory(np.array(traj.durations[start:stop]).copy(),
-                      np.array(traj.coeffs[start:stop]).copy())
-
-
-def _kind_lengths(traj: Trajectory, kinds: list[str], piece_counts: list[int]):
-    """(R^2 length, SE(2) length) of a spliced trajectory; an R2-reoptimized
-    sub was solved by the SE(2) optimizer, so its length counts as SE(2)."""
+def _kind_lengths(trajs: list[Trajectory], kinds: list[str]):
+    """(R^2 length, SE(2) length) of sub-trajectories; an R2-reoptimized sub
+    was solved by the SE(2) optimizer, so its length counts as SE(2)."""
     len_r2 = len_se2 = 0.0
-    for i, kind in enumerate(kinds):
-        length = _sub_slice(traj, piece_counts, i).arc_length()
+    for traj, kind in zip(trajs, kinds):
+        length = traj.arc_length()
         if kind == "R2":
             len_r2 += length
         else:
@@ -238,18 +228,21 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         if occupied.shape[0] == 0:
             return True
         d = occupied - state.position
-        near = d[np.einsum("ij,ij->i", d, d) < (shape.circumradius + weights.d_safe) ** 2]
+        near = occupied[np.einsum("ij,ij->i", d, d) < (shape.circumradius + weights.d_safe) ** 2]
         if near.shape[0] == 0:
             return True
-        yaw = kernel.yaw_of(state.orientation)
-        return float(np.min(shape.sdf(near @ rotation(yaw)))) >= weights.d_safe
+        values, _ = shape.sdf_at_pose(near, state.position, kernel.yaw_of(state.orientation))
+        return float(np.min(values)) >= weights.d_safe
 
     for seq in sequences:
+        # subs come in sequence order; kinds and trajs are indexed like them
         subs = extract_subproblems(seq, pad=config.risk_pad, good_junction=good_junction)
-        outcomes: dict[int, tuple[SubProblem, OptOutcome]] = {}
+        kinds = [sub.kind for sub in subs]
+        trajs = [None] * len(subs)
         failed = None
-        # SE(2) sub-problems first; a single failure discards the candidate
-        for sub in sorted(subs, key=lambda s: (s.kind != "SE2", s.start_index)):
+        # SE(2) sub-problems first (stable sort); a single failure discards
+        # the candidate
+        for i, sub in sorted(enumerate(subs), key=lambda e: e[1].kind != "SE2"):
             t1 = clock()
             out = None
             try:
@@ -273,15 +266,13 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
             if sub.kind == "SE2" and not out.collision_free:
                 failed = f"candidate {seq.source_path_id}: SE2 sub-problem not collision-free"
                 break
-            outcomes[sub.start_index] = (sub, out)
+            trajs[i] = out.trajectory
         if failed:
             result.failures.append(failed)
             continue
-        ordered = [outcomes[k] for k in sorted(outcomes)]
-        kinds = [s.kind for s, _ in ordered]
-        piece_counts = [o.trajectory.n_pieces for _, o in ordered]
+        trajs = _align_yaw(trajs)
         try:
-            spliced = splice(_align_yaw([o.trajectory for _, o in ordered]))
+            spliced = splice(trajs)
         except SpliceError as e:
             result.failures.append(f"candidate {seq.source_path_id}: splice failure: {e}")
             continue
@@ -289,9 +280,8 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         err = None
         if not report.clear:
             t1 = clock()
-            spliced, kinds, piece_counts, err = _repair(
-                spliced, kinds, piece_counts, ordered, report, weights, shape, kernel,
-                grid, config)
+            spliced, trajs, kinds, err = _repair(subs, trajs, kinds, report, weights, shape,
+                                                 kernel, grid, config)
             time_se2 += clock() - t1  # repair solves are SE(2) optimization
             if not err and not (report := certify(spliced)).clear:
                 err = "still unsafe after one re-optimization round"
@@ -299,61 +289,47 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
             result.failures.append(f"candidate {seq.source_path_id}: {err}")
             continue
         effort = minco.control_effort(spliced)
-        survivors.append((effort, seq.source_path_id, spliced, kinds, piece_counts, report))
+        survivors.append((effort, seq.source_path_id, spliced, kinds, trajs, report))
 
     if not survivors:
         result.status = "all-candidates-failed" if sequences else "no-path"
         return finish(t_refine, time_r2, time_se2, time_certify, tried=len(sequences))
     survivors.sort(key=lambda s: (s[0], s[1]))
-    _, _, traj, kinds, piece_counts, report = survivors[0]
+    _, _, traj, kinds, trajs, report = survivors[0]
     result.status = "success"
     result.trajectory = traj
     result.provenance = kinds
-    result.piece_counts = piece_counts
+    result.piece_counts = [t.n_pieces for t in trajs]
     result.certificate = report
     result.survivor_provenance = [list(s[3]) for s in survivors]
-    len_r2, len_se2 = _kind_lengths(traj, kinds, piece_counts)
+    len_r2, len_se2 = _kind_lengths(trajs, kinds)
     return finish(t_refine, time_r2, time_se2, time_certify, tried=len(sequences),
                   survived=len(survivors), len_r2=len_r2, len_se2=len_se2)
 
 
-def _repair(spliced, kinds, piece_counts, outcomes, report, weights, shape, kernel,
-            grid, config):
-    """One repair round for a failed certificate: unsafe R2-originated pieces
-    are re-optimized in SE(2) and re-spliced, unsafe SE(2) pieces fail the
-    candidate.  Returns (spliced, kinds, piece_counts, error or None)."""
-    spans = []
-    t = 0.0
-    start = 0
-    for n in piece_counts:
-        dur = float(np.sum(np.asarray(spliced.durations[start : start + n])))
-        spans.append((t, t + dur))
-        t += dur
-        start += n
-    unsafe = set()
-    for (t_lo, t_hi), _, _ in report.hits:
-        for i, (lo, hi) in enumerate(spans):
-            if t_lo <= hi + 1e-9 and t_hi >= lo - 1e-9:
-                unsafe.add(i)
-    new_trajs = [_sub_slice(spliced, piece_counts, i) for i in range(len(kinds))]
-    kinds = list(kinds)
-    piece_counts = list(piece_counts)
-    for i in sorted(unsafe):
-        sub, _ = outcomes[i]
-        if sub.kind == "SE2":
-            return spliced, kinds, piece_counts, "SE2-originated piece unsafe after splice"
+def _repair(subs, trajs, kinds, report, weights, shape, kernel, grid, config):
+    """One repair round for a failed certificate: a hit marks every sub whose
+    time span (cumulative durations of `trajs`) its interval touches; unsafe
+    R2 subs are re-optimized in SE(2) and re-spliced, an unsafe SE2 sub fails
+    the candidate.  Returns (spliced, trajs, kinds, None) or (None, ..., error)."""
+    edges = np.concatenate([[0.0], np.cumsum([t.total_duration for t in trajs])])
+    hits = np.array([interval for interval, _, _ in report.hits]).reshape(-1, 2)
+    touched = (hits[:, :1] <= edges[1:] + 1e-9) & (hits[:, 1:] >= edges[:-1] - 1e-9)
+    trajs, kinds = list(trajs), list(kinds)
+    for i in np.nonzero(np.any(touched, axis=0))[0]:
+        if subs[i].kind == "SE2":
+            return None, trajs, kinds, "SE2-originated piece unsafe after splice"
         try:
-            out = se2_optimize(sub, weights, shape, kernel, grid,
+            out = se2_optimize(subs[i], weights, shape, kernel, grid,
                                budget=config.se2_budget, max_waypoints=config.max_waypoints)
         except DegenerateInputError as e:
-            return spliced, kinds, piece_counts, f"re-optimization degenerate: {e}"
+            return None, trajs, kinds, f"re-optimization degenerate: {e}"
         if not out.collision_free:
-            return spliced, kinds, piece_counts, "R2 piece re-optimization failed"
-        new_trajs[i] = out.trajectory
+            return None, trajs, kinds, "R2 piece re-optimization failed"
+        trajs[i] = out.trajectory
         kinds[i] = "R2-reoptimized"
-        piece_counts[i] = out.trajectory.n_pieces
+    trajs = _align_yaw(trajs)
     try:
-        spliced = splice(_align_yaw(new_trajs))
+        return splice(trajs), trajs, kinds, None
     except SpliceError as e:
-        return spliced, kinds, piece_counts, f"splice failure after repair: {e}"
-    return spliced, kinds, piece_counts, None
+        return None, trajs, kinds, f"splice failure after repair: {e}"

@@ -137,6 +137,25 @@ class RobotShape:
         """sdf(q) and its gradient with respect to q."""
         return polygon_sdf_gradient(self.vertices, np.asarray(q, dtype=float) + self.reference)
 
+    def sdf_at_pose(self, points, position, yaw):
+        """Signed distance from world points to the body at a pose (reference
+        point at `position`, body turned by `yaw`) and its pose gradient.
+
+        points (..., 2), position (..., 2) and yaw (...) broadcast together;
+        returns values (...) and d value / d (x, y, yaw) (..., 3).  The only
+        place a world point is taken into the body frame.
+        """
+        d = np.asarray(points, dtype=float) - np.asarray(position, dtype=float)
+        dx, dy = d[..., 0], d[..., 1]
+        c, s = np.cos(yaw), np.sin(yaw)
+        value, g = self.sdf_gradient(np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1))
+        gx, gy = g[..., 0], g[..., 1]
+        # d body / d yaw = R(yaw)^T S d, S the 90 degree rotation: u = (dy, -dx)
+        ux, uy = dy, -dx
+        d_yaw = gx * (c * ux + s * uy) + gy * (-s * ux + c * uy)
+        # moving the pose moves the point the other way in the body frame
+        return value, np.stack([-(c * gx - s * gy), -(s * gx + c * gy), d_yaw], axis=-1)
+
     def outline_world(self, position, yaw: float) -> np.ndarray:
         """Polygon vertices placed at a world pose (reference at `position`)."""
         rel = self.vertices - self.reference
@@ -191,21 +210,6 @@ def inscribed_radius(shape: RobotShape) -> float:
     if d >= 0:
         raise GeometryError("reference point is not inside the polygon")
     return float(-d)
-
-
-def sdf_gradient_world(shape: RobotShape, x_obs, position, yaw: float):
-    """Composed SDF values and world-frame gradients at obstacle points.
-
-    Transforms x_obs ((P, 2), or one (2,) point) into the body frame at
-    (position, yaw), evaluates the exact polygon SDF there, and rotates the
-    body gradients back to the world frame, so each returned vector is the
-    steepest-ascent direction of the composed world SDF as its obstacle point
-    moves.  Returns (P,) values and (P, 2) gradients.
-    """
-    r = rotation(yaw)
-    body = (np.asarray(x_obs, dtype=float) - np.asarray(position, dtype=float)) @ r
-    value, g_body = shape.sdf_gradient(body)
-    return value, g_body @ r.T
 
 
 @dataclass(frozen=True)

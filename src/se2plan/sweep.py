@@ -1,9 +1,10 @@
 """Swept-volume signed distance queries and continuous collision checking.
 
-The SDF of the volume swept by the robot along an SE(2) trajectory, evaluated
-at a world point x, is the minimum over time of the body SDF at the
-pose-transformed point.  The minimum is located by Lipschitz-spaced coarse
-time sampling followed by golden-section refinement of the bracket around every
+The SDF of the volume swept by the robot along an (x, y, yaw) trajectory,
+evaluated at a world point x, is the minimum over time of the body SDF of x
+seen from the pose at that time (RobotShape.sdf_at_pose, the planner's one
+pose composition).  The minimum is located by Lipschitz-spaced coarse time
+sampling followed by golden-section refinement of the bracket around every
 sampled local minimum of each point.
 """
 
@@ -37,7 +38,7 @@ def _lipschitz_bound(traj: Trajectory, shape: RobotShape, n_probe: int = 128) ->
     ts = np.linspace(0.0, traj.total_duration, n_probe)
     vel = traj.eval_many(ts, order=1)
     v_max = float(np.max(np.linalg.norm(vel[:, :2], axis=1)))
-    w_max = float(np.max(np.abs(vel[:, 2]))) if traj.dim >= 3 else 0.0
+    w_max = float(np.max(np.abs(vel[:, 2])))
     return v_max + shape.circumradius * w_max
 
 
@@ -50,17 +51,12 @@ def _coarse_times(traj: Trajectory, lip: float, spacing_target: float,
     return np.linspace(0.0, t1, min(n, max_samples))
 
 
-def _batch_composed(traj: Trajectory, shape: RobotShape, points: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Composed SDF for all (time, point) pairs: shape (len(ts), len(points))."""
-    states = traj.eval_many(ts, order=0)
-    pos = states[:, :2]
-    yaw = states[:, 2] if traj.dim >= 3 else np.zeros(len(ts))
-    c, s = np.cos(yaw), np.sin(yaw)
-    d = points[None, :, :] - pos[:, None, :]  # (T, P, 2)
-    bx = c[:, None] * d[:, :, 0] + s[:, None] * d[:, :, 1]
-    by = -s[:, None] * d[:, :, 0] + c[:, None] * d[:, :, 1]
-    body = np.stack([bx, by], axis=-1)
-    return shape.sdf(body)
+def _composed(traj: Trajectory, shape: RobotShape, points: np.ndarray,
+              ts: np.ndarray) -> np.ndarray:
+    """Body SDF of `points` at the poses at times `ts`; ts has any shape and
+    broadcasts against the points' leading axes."""
+    pose = traj.eval_many(ts.ravel(), order=0).reshape(ts.shape + (3,))
+    return shape.sdf_at_pose(points, pose[..., :2], pose[..., 2])[0]
 
 
 def swept_sdf_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
@@ -82,7 +78,7 @@ def _swept_sdf(traj, shape, points, spacing_target, refine_below, lip):
     if points.shape[0] == 0:
         return np.zeros(0), np.zeros(0)
     ts = _coarse_times(traj, lip, spacing_target)
-    vals = _batch_composed(traj, shape, points, ts)  # (T, P)
+    vals = _composed(traj, shape, points, ts[:, None])  # (T, P)
     arg = np.argmin(vals, axis=0)
     out_v = vals[arg, np.arange(points.shape[0])]
     out_t = ts[arg]
@@ -107,17 +103,8 @@ def _golden_refine_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray
                          lo: np.ndarray, hi: np.ndarray):
     """Golden-section minimization of the composed SDF over per-point time
     brackets, iterated in lockstep for all points at once."""
-    n = points.shape[0]
-    idx = np.arange(n)
-
     def f(ts):
-        states = traj.eval_many(ts, order=0)
-        pos = states[:, :2]
-        yaw = states[:, 2] if traj.dim >= 3 else np.zeros(n)
-        c, s = np.cos(yaw), np.sin(yaw)
-        d = points - pos
-        body = np.stack([c * d[:, 0] + s * d[:, 1], -s * d[:, 0] + c * d[:, 1]], axis=-1)
-        return shape.sdf(body)
+        return _composed(traj, shape, points, ts)
 
     a, b = lo.astype(float).copy(), hi.astype(float).copy()
     c_pt = b - _GOLDEN * (b - a)
@@ -198,5 +185,4 @@ def swept_boundary_samples(traj: Trajectory, shape: RobotShape, n: int) -> list[
     if n < 1:
         raise ValueError("n must be >= 1")
     ts = np.linspace(0.0, traj.total_duration, n) if n > 1 else np.array([0.0])
-    return [shape.outline_world(state[:2], state[2] if traj.dim >= 3 else 0.0)
-            for state in traj.eval_many(ts, 0)]
+    return [shape.outline_world(state[:2], state[2]) for state in traj.eval_many(ts, 0)]

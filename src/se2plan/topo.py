@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .gridmap import OccupancyGrid, extract_obstacles, is_visible, visibility
-from .shape import RobotShape, sdf_gradient_world
+from .shape import RobotShape
 
 
 class InfeasibleEndpointError(ValueError):
@@ -162,10 +162,11 @@ def push_away(shape: RobotShape, position, yaw: float,
     """Iteratively translate (and slightly rotate) a pose until every nearby
     obstacle point clears the body SDF by `margin`.
 
-    Each attempt sums the world gradients of all violating obstacle points,
-    weighted by their penetration (margin - value), caps the translation at
-    one map resolution, and tries a small yaw tweak in whichever direction
-    raises the worst clearance.  Returns (position, yaw, safe, attempts).
+    Each attempt sums the position gradients (RobotShape.sdf_at_pose) of all
+    violating obstacle points, weighted by their penetration (margin - value),
+    caps the translation at one map resolution, and tries a small yaw tweak in
+    whichever direction raises the worst clearance.  Returns (position, yaw,
+    safe, attempts).
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -181,19 +182,17 @@ def push_away(shape: RobotShape, position, yaw: float,
         obs = extract_obstacles(grid, pos, half_extent)
         if obs.shape[0] == 0:
             return np.inf
-        v, _ = sdf_gradient_world(shape, obs, pos, th)
-        return float(np.min(v))
+        return float(np.min(shape.sdf_at_pose(obs, pos, th)[0]))
 
     for attempt in range(max_attempts + 1):
         obstacles = extract_obstacles(grid, position, half_extent)
-        values, grads = sdf_gradient_world(shape, obstacles, position, yaw)
+        values, dval = shape.sdf_at_pose(obstacles, position, yaw)
         violating = values < margin
         if not np.any(violating):
             return position, wrap_angle(yaw), True, attempt
         if attempt == max_attempts:
             break
-        # grads are w.r.t. the obstacle points; the pose moves the other way
-        step = -np.sum(grads[violating] * (margin - values[violating])[:, None], axis=0)
+        step = np.sum(dval[violating, :2] * (margin - values[violating])[:, None], axis=0)
         norm = np.linalg.norm(step)
         if norm > grid.resolution:
             step *= grid.resolution / norm

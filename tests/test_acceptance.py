@@ -17,7 +17,7 @@ from se2plan.minco import MincoSpline, basis_many, construct, control_effort, co
 from se2plan.optimize import Weights, r2_cost, se2_cost, smoothing_grad
 from se2plan.pipeline import PlanConfig, plan
 from se2plan.shape import (build_kernel, inscribed_radius, kernel_collides, polygon_sdf,
-                           rectangle, rotation, sdf_gradient_world)
+                           rectangle, rotation)
 from se2plan.sweep import swept_sdf_batch
 from se2plan.topo import build_roadmap, dedup_paths, extract_paths, simplify_path
 
@@ -86,13 +86,13 @@ def test_criterion_02_gradient_suite_matches_finite_differences():
         bx, by = np.abs(rotation(yaw).T @ (x_obs - pos))
         if abs(max(bx, by) - 0.5) < 10 * h or (max(bx, by) < 0.5 and abs(bx - by) < 10 * h):
             continue
-        _, grad = sdf_gradient_world(square, x_obs, pos, yaw)
+        _, grad = square.sdf_at_pose(x_obs, pos, yaw)
         for ax in range(2):
             e = np.zeros(2)
             e[ax] = h
-            fp, _ = sdf_gradient_world(square, x_obs + e, pos, yaw)
-            fm, _ = sdf_gradient_world(square, x_obs - e, pos, yaw)
-            close(grad[ax], (fp - fm) / (2 * h))
+            fp, _ = square.sdf_at_pose(x_obs + e, pos, yaw)
+            fm, _ = square.sdf_at_pose(x_obs - e, pos, yaw)
+            close(-grad[ax], (fp - fm) / (2 * h))
         checked += 1
 
     # families 3-5: MINCO effort, SE(2) cost, R^2 cost through the spline

@@ -93,6 +93,22 @@ def test_failed_rerun_removes_stale_trajectory(tmp_path):
     assert not (out / "trajectory.txt").exists()
 
 
+def test_unrendered_rerun_removes_stale_svg(tmp_path):
+    ok_dir = tmp_path / "ok"
+    bad_dir = tmp_path / "bad"
+    ok_dir.mkdir()
+    bad_dir.mkdir()
+    ok_cfg = write_scene(ok_dir, empty_grid(30))
+    bad_cfg = write_scene(bad_dir, wall_grid(30, wall_ix=15, gaps=()))
+    out = tmp_path / "out"
+    assert main(["plan", str(ok_cfg), "--render", "--out", str(out)],
+                clock=fake_clock()) == EXIT_OK
+    assert (out / "trajectory.svg").exists()
+    assert main(["plan", str(bad_cfg), "--out", str(out)], clock=fake_clock()) == EXIT_PLAN
+    assert "status = no-path" in (out / "metrics.txt").read_text()
+    assert not (out / "trajectory.svg").exists()
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["plan", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import se2plan.pipeline
 from se2plan.minco import construct
-from se2plan.pipeline import PlanConfig, SpliceError, _kind_lengths, plan, splice
+from se2plan.optimize import OptOutcome, Weights
+from se2plan.pipeline import PlanConfig, SpliceError, _kind_lengths, _repair, plan, splice
+from se2plan.sequence import SubProblem
 from se2plan.shape import rectangle
+from se2plan.sweep import CollisionReport
 
 from conftest import box_grid, empty_grid, wall_grid
 
@@ -140,7 +144,52 @@ def test_kind_lengths_count_reoptimized_as_se2():
     a = single_piece([0, 0, 0], [1, 0, 0])
     b = single_piece([1, 0, 0], [1, 2, 0])
     c = single_piece([1, 2, 0], [0.5, 2, 0])
-    out = splice([a, b, c])
-    len_r2, len_se2 = _kind_lengths(out, ["R2", "SE2", "R2-reoptimized"], [1, 1, 1])
+    len_r2, len_se2 = _kind_lengths([a, b, c], ["R2", "SE2", "R2-reoptimized"])
     assert len_r2 == pytest.approx(1.0, rel=1e-6)
     assert len_se2 == pytest.approx(2.5, rel=1e-6)
+
+
+@pytest.fixture
+def three_subs(monkeypatch):
+    """Straight rest-to-rest R2, SE2, R2 subs of 1 s each, and a stand-in for
+    se2_optimize that records its sub and returns a 2 s solve of it."""
+    trajs = [single_piece([0, 0, 0], [1, 0, 0]), single_piece([1, 0, 0], [2, 0, 0]),
+             single_piece([2, 0, 0], [3, 0, 0])]
+    subs = [SubProblem(kind, (), i) for i, kind in enumerate(["R2", "SE2", "R2"])]
+    solved = []
+
+    def fake_se2_optimize(sub, *args, **kwargs):
+        solved.append(sub)
+        k = subs.index(sub)
+        traj = single_piece([k, 0, 0], [k + 1, 0, 0], T=2.0)
+        return OptOutcome(traj, True, {}, 0, collision_free=True)
+
+    monkeypatch.setattr(se2plan.pipeline, "se2_optimize", fake_se2_optimize)
+    return subs, trajs, solved
+
+
+def _one_hit(t_lo, t_hi):
+    return CollisionReport("colliding", (((t_lo, t_hi), np.zeros(2), 0.01),))
+
+
+def test_repair_resolves_only_the_sub_a_hit_falls_in(three_subs):
+    subs, trajs, solved = three_subs
+    kinds = [s.kind for s in subs]
+    spliced, new_trajs, new_kinds, err = _repair(subs, trajs, kinds, _one_hit(2.4, 2.6),
+                                                 Weights(), None, None, None, FAST)
+    assert err is None
+    assert solved == [subs[2]]
+    assert new_kinds == ["R2", "SE2", "R2-reoptimized"]
+    assert kinds == ["R2", "SE2", "R2"]  # the caller's record is not mutated
+    assert new_trajs[0] is trajs[0] and new_trajs[1] is trajs[1]
+    assert new_trajs[2].total_duration == pytest.approx(2.0)
+    assert spliced.total_duration == pytest.approx(4.0)
+
+
+def test_repair_fails_a_hit_inside_the_se2_span(three_subs):
+    subs, trajs, solved = three_subs
+    spliced, _, _, err = _repair(subs, trajs, [s.kind for s in subs], _one_hit(1.4, 1.6),
+                                 Weights(), None, None, None, FAST)
+    assert err == "SE2-originated piece unsafe after splice"
+    assert spliced is None
+    assert solved == []

@@ -4,7 +4,7 @@ import pytest
 from se2plan.gridmap import OccupancyGrid
 from se2plan.shape import (GeometryError, RobotShape, build_kernel, inscribed_radius,
                            kernel_collides, parse_shape, polygon_sdf, rectangle,
-                           rotation, sdf_gradient_world)
+                           rotation)
 
 from conftest import grid_from_cells, random_simple_polygon
 
@@ -111,18 +111,17 @@ def test_sdf_gradient_on_boundary_is_outward_normal(unit_square):
 
 
 def test_sdf_gradient_world_axis_case(unit_square):
-    value, grad = sdf_gradient_world(unit_square, np.array([[0.7, 0.0]]), (0.0, 0.0), 0.0)
+    value, grad = unit_square.sdf_at_pose(np.array([[0.7, 0.0]]), (0.0, 0.0), 0.0)
     assert value[0] == pytest.approx(0.2, abs=1e-12)
-    assert np.allclose(grad[0], [1.0, 0.0], atol=1e-12)
+    assert np.allclose(-grad[0, :2], [1.0, 0.0], atol=1e-12)
 
 
 def test_sdf_gradient_world_rotates_with_yaw(unit_square):
     # same body-frame geometry, robot rotated 90 degrees
-    value0, grad0 = sdf_gradient_world(unit_square, np.array([[0.7, 0.0]]), (0.0, 0.0), 0.0)
-    value1, grad1 = sdf_gradient_world(unit_square, np.array([[0.0, 0.7]]), (0.0, 0.0),
-                                       np.pi / 2)
+    value0, grad0 = unit_square.sdf_at_pose(np.array([[0.7, 0.0]]), (0.0, 0.0), 0.0)
+    value1, grad1 = unit_square.sdf_at_pose(np.array([[0.0, 0.7]]), (0.0, 0.0), np.pi / 2)
     assert value1[0] == pytest.approx(value0[0], abs=1e-9)
-    assert np.allclose(rotation(np.pi / 2) @ grad0[0], grad1[0], atol=1e-9)
+    assert np.allclose(rotation(np.pi / 2) @ -grad0[0, :2], -grad1[0, :2], atol=1e-9)
 
 
 def test_sdf_gradient_world_matches_fd(unit_square, rng):
@@ -137,22 +136,62 @@ def test_sdf_gradient_world_matches_fd(unit_square, rng):
         bx, by = np.abs(rotation(yaw).T @ (x_obs - pos))
         if abs(max(bx, by) - 0.5) < 10 * h or (max(bx, by) < 0.5 and abs(bx - by) < 10 * h):
             continue
-        value, grad = sdf_gradient_world(unit_square, x_obs[None], pos, yaw)
+        value, grad = unit_square.sdf_at_pose(x_obs[None], pos, yaw)
         fd = np.zeros(2)
         for ax in range(2):
             e = np.zeros(2)
             e[ax] = h
-            fp, _ = sdf_gradient_world(unit_square, (x_obs + e)[None], pos, yaw)
-            fm, _ = sdf_gradient_world(unit_square, (x_obs - e)[None], pos, yaw)
+            fp, _ = unit_square.sdf_at_pose((x_obs + e)[None], pos, yaw)
+            fm, _ = unit_square.sdf_at_pose((x_obs - e)[None], pos, yaw)
             fd[ax] = (fp[0] - fm[0]) / (2 * h)
         if np.linalg.norm(fd) > 1e-6:
-            assert np.linalg.norm(grad[0] - fd) / np.linalg.norm(fd) < 1e-3
+            assert np.linalg.norm(-grad[0, :2] - fd) / np.linalg.norm(fd) < 1e-3
+            checked += 1
+    assert checked >= 20
+
+
+def test_sdf_at_pose_broadcasts_like_single_pose_calls(rng):
+    shape = rectangle(1.0, 0.4, reference=[0.1, -0.05])
+    positions = rng.uniform(-0.5, 0.5, (5, 1, 2))
+    yaws = rng.uniform(-np.pi, np.pi, (5, 1))
+    points = rng.uniform(-1.0, 1.0, (7, 2))
+    values, grads = shape.sdf_at_pose(points, positions, yaws)
+    assert values.shape == (5, 7) and grads.shape == (5, 7, 3)
+    for t in range(5):
+        value, grad = shape.sdf_at_pose(points, positions[t, 0], yaws[t, 0])
+        assert np.max(np.abs(values[t] - value)) <= 1e-12
+        assert np.max(np.abs(grads[t] - grad)) <= 1e-12
+
+
+def test_sdf_at_pose_pose_gradient_matches_fd(rng):
+    # unit square with an off-origin reference: keep FD stencils clear of the
+    # boundary and, inside, of the medial axis (the square's diagonals)
+    ref = np.array([0.1, -0.05])
+    shape = rectangle(1.0, 1.0, reference=ref)
+    h = 1e-7
+    checked = 0
+    for _ in range(60):
+        pose = np.append(rng.uniform(-0.1, 0.1, 2), rng.uniform(-np.pi, np.pi))
+        x_obs = pose[:2] + rotation(pose[2]) @ (rng.uniform(-0.6, 0.6, 2) - ref)
+        qx, qy = np.abs(rotation(pose[2]).T @ (x_obs - pose[:2]) + ref)
+        if abs(max(qx, qy) - 0.5) < 10 * h or (max(qx, qy) < 0.5 and abs(qx - qy) < 10 * h):
+            continue
+        _, grad = shape.sdf_at_pose(x_obs, pose[:2], pose[2])
+        fd = np.zeros(3)
+        for ax in range(3):
+            e = np.zeros(3)
+            e[ax] = h
+            fp, _ = shape.sdf_at_pose(x_obs, (pose + e)[:2], (pose + e)[2])
+            fm, _ = shape.sdf_at_pose(x_obs, (pose - e)[:2], (pose - e)[2])
+            fd[ax] = (fp - fm) / (2 * h)
+        if np.linalg.norm(fd) > 1e-6:
+            assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-3
             checked += 1
     assert checked >= 20
 
 
 def test_reference_point_value(unit_square):
-    value, _ = sdf_gradient_world(unit_square, np.zeros((1, 2)), (0.0, 0.0), 0.3)
+    value, _ = unit_square.sdf_at_pose(np.zeros((1, 2)), (0.0, 0.0), 0.3)
     assert value[0] == pytest.approx(-inscribed_radius(unit_square), abs=1e-12)
 
 
