@@ -28,6 +28,7 @@ EXIT_PLAN = 3
 EXIT_INTERNAL = 4
 
 _KIND_COLORS = {"SE2": "#d62728", "R2": "#1f77b4", "R2-reoptimized": "#ff7f0e"}
+_SVG_SCALE = 120.0  # pixels per metre
 
 
 class ConfigError(ValueError):
@@ -139,14 +140,15 @@ def format_metrics(metrics: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_point(p, ymax: float, scale: float) -> str:
-    return f"{p[0] * scale:.2f},{(ymax - p[1]) * scale:.2f}"
+def _svg_point(p, ymax: float) -> str:
+    return f"{p[0] * _SVG_SCALE:.2f},{(ymax - p[1]) * _SVG_SCALE:.2f}"
 
 
 def render_svg(grid: OccupancyGrid, shape: RobotShape, result: PlanResult,
-               out_path: Path, scale: float = 120.0) -> None:
+               out_path: Path) -> None:
     """Map, the final trajectory (one path element per piece, colored by the
     provenance of its sub-trajectory), and swept robot outlines."""
+    scale = _SVG_SCALE
     res = grid.resolution
     w = grid.width * res
     h = grid.height * res
@@ -161,7 +163,7 @@ def render_svg(grid: OccupancyGrid, shape: RobotShape, result: PlanResult,
     traj = result.trajectory
     if traj is not None:
         for outline in swept_boundary_samples(traj, shape, 24):
-            pts = " ".join(_svg_point(p, h, scale) for p in outline)
+            pts = " ".join(_svg_point(p, h) for p in outline)
             parts.append(f'<polygon points="{pts}" fill="none" stroke="#bbbbbb" stroke-width="1"/>')
         kind_of_piece = []
         for kind, count in zip(result.provenance, result.piece_counts):
@@ -171,7 +173,7 @@ def render_svg(grid: OccupancyGrid, shape: RobotShape, result: PlanResult,
             ts = start_times[i] + np.linspace(0.0, traj.durations[i], 33)
             pos = traj.eval_many(ts, order=0)[:, :2]
             color = _KIND_COLORS.get(kind_of_piece[i] if i < len(kind_of_piece) else "R2", "#1f77b4")
-            d = "M " + " L ".join(_svg_point(p, h, scale) for p in pos)
+            d = "M " + " L ".join(_svg_point(p, h) for p in pos)
             parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="2"/>')
     parts.append("</svg>")
     out_path.write_text("\n".join(parts) + "\n")

@@ -26,6 +26,13 @@ _SAFETY_SAMPLES = 16
 # midpoint rule: fixed per-piece time fractions
 _SAFETY_NODES = (np.arange(_SAFETY_SAMPLES) + 0.5) / _SAFETY_SAMPLES
 _SAFETY_WEIGHTS = np.full(_SAFETY_SAMPLES, 1.0 / _SAFETY_SAMPLES)
+# spline waypoints seeded from a sub-problem's states
+_MAX_WAYPOINTS = 9
+# lbfgs: gradient tolerance, stall threshold on the relative decrease, and
+# number of curvature pairs kept
+_G_TOL = 1e-5
+_F_REL_TOL = 1e-8
+_MEMORY = 8
 
 
 class DegenerateInputError(ValueError):
@@ -79,8 +86,7 @@ class OptOutcome:
     collision_free: bool | None = None
 
 
-def lbfgs(fun, x0: np.ndarray, max_iter: int = 200, g_tol: float = 1e-5,
-          f_rel_tol: float = 1e-8, memory: int = 8):
+def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
     fun(x) -> (f, grad).  Accepted steps never increase f.  Returns
@@ -94,7 +100,7 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200, g_tol: float = 1e-5,
     it = 0
     stall = 0  # consecutive iterations with negligible relative decrease
     restarted = False
-    converged = bool(np.max(np.abs(g)) < g_tol)
+    converged = bool(np.max(np.abs(g)) < _G_TOL)
     while it < max_iter and not converged:
         # two-loop recursion
         q = g.copy()
@@ -141,14 +147,14 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200, g_tol: float = 1e-5,
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > memory:
+            if len(s_hist) > _MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
         rel_drop = abs(f - f_new) / max(abs(f), 1.0)
-        stall = stall + 1 if rel_drop < f_rel_tol else 0
+        stall = stall + 1 if rel_drop < _F_REL_TOL else 0
         x, f, g = x_new, f_new, g_new
-        if np.max(np.abs(g)) < g_tol or stall >= 3:
+        if np.max(np.abs(g)) < _G_TOL or stall >= 3:
             converged = True
     return x, f, it, converged
 
@@ -317,12 +323,12 @@ def _junction_yaw_ramp(positions: np.ndarray, yaws_raw: np.ndarray) -> np.ndarra
     return yaws_raw[0] + _arc_fractions(positions) * dy
 
 
-def _sub_geometry(sub, kernel_step: float, v_max: float, max_waypoints: int):
+def _sub_geometry(sub, v_max: float):
     """Initial (boundary states, waypoints, durations, yaw series) for a
     sub-problem: positions from decimated states, yaw unwrapped from the
-    kernel orientation indices, durations from arc length at half v_max."""
+    states' kernel yaws, durations from arc length at half v_max."""
     positions = np.array([s.position for s in sub.states])
-    yaws_raw = np.array([s.orientation * kernel_step for s in sub.states])
+    yaws_raw = np.array([s.yaw for s in sub.states])
     if sub.kind == "R2":
         # translation-dominant slice: interior orientation picks are per-point
         # and can flip between symmetric aliases, so only the junction yaws
@@ -340,7 +346,7 @@ def _sub_geometry(sub, kernel_step: float, v_max: float, max_waypoints: int):
             yaws = np.unwrap(yaws_raw)
     kept = _prune_loops(positions)
     positions, yaws = positions[kept], yaws[kept]
-    idx = _decimate_indices(len(positions), max_waypoints)
+    idx = _decimate_indices(len(positions), _MAX_WAYPOINTS)
     pts = positions[idx]
     yw = yaws[idx]
     # drop coincident nodes
@@ -407,14 +413,12 @@ def _run_solver(spline: MincoSpline, waypoints0, durations0, stages, budget: int
     return traj, terms, iters, converged, accepted
 
 
-def se2_optimize(sub, weights: Weights, shape: RobotShape, kernel,
-                 grid: OccupancyGrid, budget: int = 150,
-                 max_waypoints: int = 9) -> OptOutcome:
+def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
+                 budget: int) -> OptOutcome:
     """Optimize one high-risk sub-problem in full SE(2) with swept-volume
     safety; the outcome's collision_free flag is set by an independent
     continuous collision check at zero margin."""
-    kernel_step = kernel.angular_step if kernel is not None else 2 * np.pi / 18
-    start, end, wps, durs = _sub_geometry(sub, kernel_step, weights.v_max, max_waypoints)
+    start, end, wps, durs = _sub_geometry(sub, weights.v_max)
     positions = np.array([s.position for s in sub.states])
     pad = shape.circumradius + weights.d_safe + 2 * grid.resolution
     lo = positions.min(axis=0) - pad
@@ -444,14 +448,12 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, kernel,
     return OptOutcome(traj, converged, terms, iters, collision_free=clear)
 
 
-def r2_optimize(sub, weights: Weights, kernel=None, budget: int = 100,
-                max_waypoints: int = 9) -> OptOutcome:
+def r2_optimize(sub, weights: Weights, budget: int) -> OptOutcome:
     """Optimize a low-risk sub-problem with residual tracking only; final
     safety is certified later by the pipeline's whole-trajectory check."""
-    kernel_step = kernel.angular_step if kernel is not None else 2 * np.pi / 18
-    start, end, wps, durs = _sub_geometry(sub, kernel_step, weights.v_max, max_waypoints)
+    start, end, wps, durs = _sub_geometry(sub, weights.v_max)
     positions = np.array([s.position for s in sub.states])
-    yaws_raw = np.array([s.orientation * kernel_step for s in sub.states])
+    yaws_raw = np.array([s.yaw for s in sub.states])
     yaws = _junction_yaw_ramp(positions, yaws_raw)
     fractions = _arc_fractions(positions)
     spline = MincoSpline(start, end, len(durs))

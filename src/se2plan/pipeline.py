@@ -5,7 +5,6 @@ whole-trajectory certification, and minimum-control-effort selection.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 
@@ -21,31 +20,27 @@ from .sweep import CollisionReport, continuous_check
 from .topo import (InfeasibleEndpointError, build_roadmap, dedup_paths, extract_paths,
                    shortcut, simplify_path)
 
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class PlanConfig:
+    """The planner's settings: roadmap size and connection radius, how many
+    roadmap paths are extracted and how many distinct ones become candidates,
+    the orientation bank of the collision kernel, the SE(2) and R^2 solver
+    iteration budgets, the cost weights, and the roadmap sampling seed."""
+
     roadmap_budget: int = 400
     connection_radius: float | None = None  # defaults to 25% of map diagonal
     max_paths: int = 30
     max_candidates: int = 4
     n_orientations: int = 18
-    search_range: int = 4
-    seg_adjust_depth: int = 4
-    risk_pad: int = 5
-    push_margin: float | None = None  # defaults to map resolution
-    push_attempts: int = 20
     se2_budget: int = 300
     r2_budget: int = 100
-    max_waypoints: int = 9
     weights: Weights = field(default_factory=Weights)
     seed: int = 0
 
     def __post_init__(self):
         for name in ("roadmap_budget", "max_paths", "max_candidates", "n_orientations",
-                     "search_range", "seg_adjust_depth", "push_attempts",
-                     "se2_budget", "r2_budget", "max_waypoints"):
+                     "se2_budget", "r2_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -105,18 +100,9 @@ def _align_yaw(trajs: list[Trajectory]) -> list[Trajectory]:
     return out
 
 
-def _free_orientation(kernel, grid, p, yaw: float):
-    """Requested orientation if kernel-free, else the nearest free index."""
-    k0 = kernel.index_of(yaw)
-    if not kernel_collides(kernel, grid, p, k0):
-        return k0
-    n = kernel.n_orientations
-    for d in range(1, n // 2 + 1):
-        for k in ((k0 + d) % n, (k0 - d) % n):
-            if not kernel_collides(kernel, grid, p, k):
-                log.warning("requested yaw colliding at %s; substituting orientation %d", p, k)
-                return k
-    return None
+def _some_orientation_free(kernel, grid, p) -> bool:
+    """True iff the kernel is free at p for at least one orientation."""
+    return any(not kernel_collides(kernel, grid, p, k) for k in range(kernel.n_orientations))
 
 
 def _kind_lengths(trajs: list[Trajectory], kinds: list[str]):
@@ -154,8 +140,10 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
          config: PlanConfig | None = None, clock=time.perf_counter) -> PlanResult:
     """Full coarse-to-fine plan from a start pose to a goal pose.
 
-    start_pose / goal_pose are (x, y, yaw).  The returned certificate is
-    clear whenever status is "success".
+    start_pose / goal_pose are (x, y, yaw).  The trajectory reaches the
+    requested positions; the planner picks the headings along it, the start
+    and goal headings included, so the requested yaws are not honoured.  The
+    returned certificate is clear whenever status is "success".
     """
     if config is None:
         config = PlanConfig()
@@ -174,7 +162,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     start_pose = np.asarray(start_pose, dtype=float)
     goal_pose = np.asarray(goal_pose, dtype=float)
     for name, pose in (("start", start_pose), ("goal", goal_pose)):
-        if _free_orientation(kernel, grid, pose[:2], pose[2]) is None:
+        if not _some_orientation_free(kernel, grid, pose[:2]):
             result.failures.append(f"{name} pose collides at every orientation")
             return finish()
 
@@ -194,15 +182,11 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         return finish(t_refine=clock() - t0)
     taut = [simplify_path(p, inflated) for p in raw_paths]
     candidates = dedup_paths(taut, inflated)[: config.max_candidates]
-    margin = config.push_margin if config.push_margin is not None else grid.resolution
     sequences = []
     for i, cand in enumerate(candidates):
         try:
-            se2_path = shortcut(cand, shape, grid, inflated=inflated, margin=margin,
-                                max_attempts=config.push_attempts)
-            seq = generate_sequence(se2_path, shape, kernel, grid,
-                                    search_range=config.search_range,
-                                    max_depth=config.seg_adjust_depth, source_path_id=i)
+            se2_path = shortcut(cand, shape, grid, inflated=inflated)
+            seq = generate_sequence(se2_path, shape, kernel, grid, source_path_id=i)
             sequences.append(seq)
         except ValueError as e:
             result.failures.append(f"candidate {i}: front-end failure: {e}")
@@ -231,12 +215,12 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         near = occupied[np.einsum("ij,ij->i", d, d) < (shape.circumradius + weights.d_safe) ** 2]
         if near.shape[0] == 0:
             return True
-        values, _ = shape.sdf_at_pose(near, state.position, kernel.yaw_of(state.orientation))
+        values, _ = shape.sdf_at_pose(near, state.position, state.yaw)
         return float(np.min(values)) >= weights.d_safe
 
     for seq in sequences:
         # subs come in sequence order; kinds and trajs are indexed like them
-        subs = extract_subproblems(seq, pad=config.risk_pad, good_junction=good_junction)
+        subs = extract_subproblems(seq, good_junction=good_junction)
         kinds = [sub.kind for sub in subs]
         trajs = [None] * len(subs)
         failed = None
@@ -247,12 +231,9 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
             out = None
             try:
                 if sub.kind == "SE2":
-                    out = se2_optimize(sub, weights, shape, kernel, grid,
-                                       budget=config.se2_budget,
-                                       max_waypoints=config.max_waypoints)
+                    out = se2_optimize(sub, weights, shape, grid, budget=config.se2_budget)
                 else:
-                    out = r2_optimize(sub, weights, kernel, budget=config.r2_budget,
-                                      max_waypoints=config.max_waypoints)
+                    out = r2_optimize(sub, weights, budget=config.r2_budget)
             except DegenerateInputError as e:
                 failed = f"candidate {seq.source_path_id}: degenerate {sub.kind} sub-problem: {e}"
             finally:
@@ -281,7 +262,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         if not report.clear:
             t1 = clock()
             spliced, trajs, kinds, err = _repair(subs, trajs, kinds, report, weights, shape,
-                                                 kernel, grid, config)
+                                                 grid, config)
             time_se2 += clock() - t1  # repair solves are SE(2) optimization
             if not err and not (report := certify(spliced)).clear:
                 err = "still unsafe after one re-optimization round"
@@ -307,7 +288,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
                   survived=len(survivors), len_r2=len_r2, len_se2=len_se2)
 
 
-def _repair(subs, trajs, kinds, report, weights, shape, kernel, grid, config):
+def _repair(subs, trajs, kinds, report, weights, shape, grid, config):
     """One repair round for a failed certificate: a hit marks every sub whose
     time span (cumulative durations of `trajs`) its interval touches; unsafe
     R2 subs are re-optimized in SE(2) and re-spliced, an unsafe SE2 sub fails
@@ -320,8 +301,7 @@ def _repair(subs, trajs, kinds, report, weights, shape, kernel, grid, config):
         if subs[i].kind == "SE2":
             return None, trajs, kinds, "SE2-originated piece unsafe after splice"
         try:
-            out = se2_optimize(subs[i], weights, shape, kernel, grid,
-                               budget=config.se2_budget, max_waypoints=config.max_waypoints)
+            out = se2_optimize(subs[i], weights, shape, grid, budget=config.se2_budget)
         except DegenerateInputError as e:
             return None, trajs, kinds, f"re-optimization degenerate: {e}"
         if not out.collision_free:

@@ -16,11 +16,15 @@ from .topo import Se2Path, discretize_polyline, push_away
 LOW_RISK = "LowRisk"
 HIGH_RISK = "HighRisk"
 
+# orientation indices searched on each side of the preferred one (capped at
+# half the kernel's orientation bank)
+_SEARCH_RANGE = 4
+
 
 @dataclass(frozen=True)
 class MotionState:
     position: np.ndarray  # (2,)
-    orientation: int  # kernel orientation index (preferred index for HighRisk)
+    yaw: float  # a kernel orientation's yaw (the preferred one for HighRisk)
     risk: str  # LOW_RISK | HIGH_RISK
 
     def __post_init__(self):
@@ -48,15 +52,13 @@ class SubProblem:
     start_index: int  # index of states[0] in the source sequence
 
 
-def safe_yaw(p, preferred_k: int, kernel: RobotKernel, grid: OccupancyGrid,
-             search_range: int = 4) -> list[int]:
+def safe_yaw(p, preferred_k: int, kernel: RobotKernel, grid: OccupancyGrid) -> list[int]:
     """Collision-free orientation indices near preferred_k, in test order
-    (preferred first, then alternating +-1, +-2, ... up to search_range)."""
-    if search_range > kernel.n_orientations // 2:
-        raise ValueError("search_range must be <= n_orientations / 2")
+    (preferred first, then alternating +-1, +-2, ... up to _SEARCH_RANGE or
+    half the orientation bank, whichever is smaller)."""
     n = kernel.n_orientations
     order = [preferred_k % n]
-    for d in range(1, search_range + 1):
+    for d in range(1, min(_SEARCH_RANGE, n // 2) + 1):
         order.append((preferred_k + d) % n)
         order.append((preferred_k - d) % n)
     free = []
@@ -84,8 +86,7 @@ def _tangent_index(kernel: RobotKernel, pts: np.ndarray, i: int) -> int:
 
 
 def seg_adjust(seg_start, seg_end, shape: RobotShape, kernel: RobotKernel,
-               grid: OccupancyGrid, max_depth: int = 4, search_range: int = 4,
-               margin: float | None = None):
+               grid: OccupancyGrid, max_depth: int = 4):
     """Recursive segment repair.
 
     At the first discretized point with no safe orientation, push the point
@@ -93,15 +94,13 @@ def seg_adjust(seg_start, seg_end, shape: RobotShape, kernel: RobotKernel,
     adjusted polyline (including both endpoints) on success, None on failure;
     failure discards all intermediate work.
     """
-    if margin is None:
-        margin = grid.resolution
     seg_start = np.asarray(seg_start, dtype=float)
     seg_end = np.asarray(seg_end, dtype=float)
     pts = discretize_polyline(np.array([seg_start, seg_end]), grid.resolution)
     bad = None
     for i, p in enumerate(pts):
         k0 = _tangent_index(kernel, pts, i)
-        if not safe_yaw(p, k0, kernel, grid, search_range):
+        if not safe_yaw(p, k0, kernel, grid):
             bad = i
             break
     if bad is None:
@@ -110,32 +109,30 @@ def seg_adjust(seg_start, seg_end, shape: RobotShape, kernel: RobotKernel,
         return None
     k0 = _tangent_index(kernel, pts, bad)
     yaw0 = kernel.yaw_of(k0)
-    new_pos, _, safe, _ = push_away(shape, pts[bad], yaw0, grid, margin)
+    new_pos, _, safe, _ = push_away(shape, pts[bad], yaw0, grid)
     if not safe:
         return None
     if (np.linalg.norm(new_pos - seg_start) < 1e-9
             or np.linalg.norm(new_pos - seg_end) < 1e-9):
         return None
-    left = seg_adjust(seg_start, new_pos, shape, kernel, grid, max_depth - 1,
-                      search_range, margin)
+    left = seg_adjust(seg_start, new_pos, shape, kernel, grid, max_depth - 1)
     if left is None:
         return None
-    right = seg_adjust(new_pos, seg_end, shape, kernel, grid, max_depth - 1,
-                       search_range, margin)
+    right = seg_adjust(new_pos, seg_end, shape, kernel, grid, max_depth - 1)
     if right is None:
         return None
     return np.vstack([left, right[1:]])
 
 
 def generate_sequence(path: Se2Path, shape: RobotShape, kernel: RobotKernel,
-                      grid: OccupancyGrid, search_range: int = 4, max_depth: int = 4,
-                      source_path_id: int = 0) -> MotionSequence:
+                      grid: OccupancyGrid, source_path_id: int = 0) -> MotionSequence:
     """Convert a topological SE(2) path to a dense risk-labeled sequence.
 
     Each inter-waypoint segment is discretized at grid resolution; every point
     gets a safe orientation near the path tangent when one exists (low risk).
-    When none exists the segment is repaired locally; if repair fails the
-    point is kept and marked high risk for SE(2) optimization.
+    When none exists the segment is repaired locally, once per segment; if
+    repair fails the point is kept and marked high risk for SE(2)
+    optimization.
     """
     states: list[MotionState] = []
 
@@ -144,41 +141,43 @@ def generate_sequence(path: Se2Path, shape: RobotShape, kernel: RobotKernel,
             return
         if not buffer and states and np.linalg.norm(states[-1].position - pos) < 1e-12:
             return
-        buffer.append(MotionState(np.asarray(pos, dtype=float), int(k), risk))
+        buffer.append(MotionState(np.asarray(pos, dtype=float), kernel.yaw_of(int(k)), risk))
 
     waypoints = path.waypoints
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         buffer: list[MotionState] = []
+        repair_failed = False  # seg_adjust depends only on the segment
         pts = discretize_polyline(np.array([a.position, b.position]), grid.resolution)
         for i, p in enumerate(pts):
             if i == 0 and states:
                 continue  # junction point already emplaced by previous segment
             k0 = _tangent_index(kernel, pts, i)
-            free = safe_yaw(p, k0, kernel, grid, search_range)
+            free = safe_yaw(p, k0, kernel, grid)
             if free:
                 emplace(buffer, p, free[0], LOW_RISK)
                 continue
-            adjusted = seg_adjust(a.position, b.position, shape, kernel, grid,
-                                  max_depth, search_range)
-            if adjusted is not None:
-                buffer = []
-                adj_pts = discretize_polyline(adjusted, grid.resolution)
-                for j, q in enumerate(adj_pts):
-                    if j == 0 and states:
-                        continue
-                    kj = _tangent_index(kernel, adj_pts, j)
-                    free_j = safe_yaw(q, kj, kernel, grid, search_range)
-                    emplace(buffer, q, free_j[0] if free_j else kj,
-                            LOW_RISK if free_j else HIGH_RISK)
-                break  # adjusted polyline replaces the rest of this segment
+            if not repair_failed:
+                adjusted = seg_adjust(a.position, b.position, shape, kernel, grid)
+                if adjusted is not None:
+                    buffer = []
+                    adj_pts = discretize_polyline(adjusted, grid.resolution)
+                    for j, q in enumerate(adj_pts):
+                        if j == 0 and states:
+                            continue
+                        kj = _tangent_index(kernel, adj_pts, j)
+                        free_j = safe_yaw(q, kj, kernel, grid)
+                        emplace(buffer, q, free_j[0] if free_j else kj,
+                                LOW_RISK if free_j else HIGH_RISK)
+                    break  # adjusted polyline replaces the rest of this segment
+                repair_failed = True
             emplace(buffer, p, k0, HIGH_RISK)
         states.extend(buffer)
     if not states or np.linalg.norm(states[0].position - waypoints[0].position) > 1e-9:
-        k0 = kernel.index_of(waypoints[0].yaw)
-        states.insert(0, MotionState(waypoints[0].position, k0, LOW_RISK))
+        yaw0 = kernel.yaw_of(kernel.index_of(waypoints[0].yaw))
+        states.insert(0, MotionState(waypoints[0].position, yaw0, LOW_RISK))
     if np.linalg.norm(states[-1].position - waypoints[-1].position) > 1e-9:
-        k1 = kernel.index_of(waypoints[-1].yaw)
-        states.append(MotionState(waypoints[-1].position, k1, LOW_RISK))
+        yaw1 = kernel.yaw_of(kernel.index_of(waypoints[-1].yaw))
+        states.append(MotionState(waypoints[-1].position, yaw1, LOW_RISK))
     return MotionSequence(tuple(states), source_path_id)
 
 

@@ -20,6 +20,8 @@ from .shape import RobotShape
 
 _GOLDEN = (np.sqrt(5) - 1) / 2
 _REFINE_T_TOL = 1e-9
+_LIPSCHITZ_PROBES = 128  # velocity samples behind the Lipschitz bound
+_MAX_COARSE_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -32,23 +34,22 @@ class CollisionReport:
         return self.verdict == "clear"
 
 
-def _lipschitz_bound(traj: Trajectory, shape: RobotShape, n_probe: int = 128) -> float:
+def _lipschitz_bound(traj: Trajectory, shape: RobotShape) -> float:
     """Bound on the time derivative of the composed SDF at any point: max
     speed + circumradius * max yaw rate."""
-    ts = np.linspace(0.0, traj.total_duration, n_probe)
+    ts = np.linspace(0.0, traj.total_duration, _LIPSCHITZ_PROBES)
     vel = traj.eval_many(ts, order=1)
     v_max = float(np.max(np.linalg.norm(vel[:, :2], axis=1)))
     w_max = float(np.max(np.abs(vel[:, 2])))
     return v_max + shape.circumradius * w_max
 
 
-def _coarse_times(traj: Trajectory, lip: float, spacing_target: float,
-                  max_samples: int = 4096) -> np.ndarray:
+def _coarse_times(traj: Trajectory, lip: float, spacing_target: float) -> np.ndarray:
     t1 = traj.total_duration
     dt = spacing_target / (2 * max(lip, 1e-9)) if lip > 0 else t1
-    n = int(np.ceil(t1 / max(dt, t1 / max_samples))) + 1
+    n = int(np.ceil(t1 / max(dt, t1 / _MAX_COARSE_SAMPLES))) + 1
     n = max(n, 8)
-    return np.linspace(0.0, t1, min(n, max_samples))
+    return np.linspace(0.0, t1, min(n, _MAX_COARSE_SAMPLES))
 
 
 def _composed(traj: Trajectory, shape: RobotShape, points: np.ndarray,
@@ -60,20 +61,20 @@ def _composed(traj: Trajectory, shape: RobotShape, points: np.ndarray,
 
 
 def swept_sdf_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
-                    spacing_target: float, refine_below: float = np.inf):
+                    spacing_target: float):
     """Vectorized swept SDF for many points.
 
     Coarse values are shared across points; golden refinement runs on the
-    bracket of every sampled local minimum that is below
-    refine_below + spacing_target, and each point keeps its lowest value.
-    Returns (values (P,), t_stars (P,)).
+    bracket of every sampled local minimum, and each point keeps its lowest
+    value.  Returns (values (P,), t_stars (P,)).
     """
-    return _swept_sdf(traj, shape, points, spacing_target, refine_below,
+    return _swept_sdf(traj, shape, points, spacing_target, np.inf,
                       _lipschitz_bound(traj, shape))
 
 
-def _swept_sdf(traj, shape, points, spacing_target, refine_below, lip):
-    """swept_sdf_batch with the Lipschitz bound supplied by the caller."""
+def _swept_sdf(traj, shape, points, spacing_target, margin, lip):
+    """swept_sdf_batch with the Lipschitz bound supplied by the caller, refining
+    only the sampled minima below margin + spacing_target."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if points.shape[0] == 0:
         return np.zeros(0), np.zeros(0)
@@ -85,7 +86,7 @@ def _swept_sdf(traj, shape, points, spacing_target, refine_below, lip):
     # sampled local minima: below the previous sample, not above the next
     padded = np.pad(vals, ((1, 1), (0, 0)), constant_values=np.inf)
     local_min = (vals < padded[:-2]) & (vals <= padded[2:])
-    k, p = np.nonzero(local_min & (vals <= refine_below + spacing_target))
+    k, p = np.nonzero(local_min & (vals <= margin + spacing_target))
     if k.size:
         t_r, v_r = _golden_refine_batch(traj, shape, points[p], ts[np.maximum(k - 1, 0)],
                                         ts[np.minimum(k + 1, len(ts) - 1)])

@@ -15,6 +15,12 @@ from scipy.spatial import cKDTree
 from .gridmap import OccupancyGrid, extract_obstacles, is_visible, visibility
 from .shape import RobotShape
 
+# edge-weight factor on a found path's interior nodes in later extraction rounds
+_AVOID_FACTOR = 10.0
+# yaw tried on each side of the current one by push_away: a quarter of the
+# 18-orientation kernel step
+_YAW_TWEAK = (2 * np.pi / 18) / 4
+
 
 class InfeasibleEndpointError(ValueError):
     """Raised when a query endpoint lies in inflated occupancy."""
@@ -72,7 +78,7 @@ class Roadmap:
     adjacency: list  # adjacency[i] = sorted list of neighbor indices
 
 
-def build_roadmap(inflated: OccupancyGrid, start, goal, budget: int = 500,
+def build_roadmap(inflated: OccupancyGrid, start, goal, budget: int,
                   rng=None, connection_radius: float | None = None) -> Roadmap:
     """Uniform free-space PRM with visibility edges within a radius.
 
@@ -108,20 +114,17 @@ def build_roadmap(inflated: OccupancyGrid, start, goal, budget: int = 500,
     return Roadmap(nodes=nodes, adjacency=[sorted(a) for a in adjacency])
 
 
-def extract_paths(roadmap: Roadmap, max_paths: int = 10,
-                  avoid_factor: float = 10.0) -> list[np.ndarray]:
+def extract_paths(roadmap: Roadmap, max_paths: int) -> list[np.ndarray]:
     """Up to max_paths diverse simple start->goal point paths.
 
     Repeated shortest-path extraction with node-avoidance penalties: after
     each round every edge touching the found path's interior is penalized by
-    avoid_factor, so later rounds prefer genuinely different corridors instead
+    _AVOID_FACTOR, so later rounds prefer genuinely different corridors instead
     of small variations of the first one.  Returns [] when start and goal are
     disconnected.
     """
     if max_paths < 1:
         raise ValueError("max_paths must be >= 1")
-    if avoid_factor <= 1:
-        raise ValueError("avoid_factor must be > 1")
     n = len(roadmap.nodes)
     rows, cols = [], []
     for i, nbrs in enumerate(roadmap.adjacency):
@@ -152,28 +155,28 @@ def extract_paths(roadmap: Roadmap, max_paths: int = 10,
             paths.append(roadmap.nodes[np.array(path)].copy())
         if len(path) <= 2:
             break
-        factor[path[1:-1]] *= avoid_factor
+        factor[path[1:-1]] *= _AVOID_FACTOR
     return paths
 
 
 def push_away(shape: RobotShape, position, yaw: float,
-              grid: OccupancyGrid, margin: float, max_attempts: int = 20,
-              yaw_step: float | None = None):
+              grid: OccupancyGrid, margin: float | None = None, max_attempts: int = 20):
     """Iteratively translate (and slightly rotate) a pose until every nearby
-    obstacle point clears the body SDF by `margin`.
+    obstacle point clears the body SDF by `margin` (default: one map
+    resolution).
 
     Each attempt sums the position gradients (RobotShape.sdf_at_pose) of all
     violating obstacle points, weighted by their penetration (margin - value),
-    caps the translation at one map resolution, and tries a small yaw tweak in
+    caps the translation at one map resolution, and tries a _YAW_TWEAK in
     whichever direction raises the worst clearance.  Returns (position, yaw,
     safe, attempts).
     """
+    if margin is None:
+        margin = grid.resolution
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if yaw_step is None:
-        yaw_step = (2 * np.pi / 18) / 4
     position = np.asarray(position, dtype=float).copy()
     yaw = float(yaw)
     half_extent = shape.circumradius + margin + grid.resolution
@@ -198,12 +201,12 @@ def push_away(shape: RobotShape, position, yaw: float,
             step *= grid.resolution / norm
         position = position + step
         base = min_clearance(position, yaw)
-        plus = min_clearance(position, yaw + yaw_step)
-        minus = min_clearance(position, yaw - yaw_step)
+        plus = min_clearance(position, yaw + _YAW_TWEAK)
+        minus = min_clearance(position, yaw - _YAW_TWEAK)
         if plus > base and plus >= minus:
-            yaw += yaw_step
+            yaw += _YAW_TWEAK
         elif minus > base:
-            yaw -= yaw_step
+            yaw -= _YAW_TWEAK
     return position, wrap_angle(yaw), False, max_attempts
 
 
@@ -223,8 +226,7 @@ def discretize_polyline(points: np.ndarray, step: float) -> np.ndarray:
 
 
 def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
-             inflated: OccupancyGrid | None = None,
-             margin: float | None = None, max_attempts: int = 20) -> Se2Path:
+             inflated: OccupancyGrid | None = None) -> Se2Path:
     """Greedy geometry-aware path shortcut.
 
     The input point path is uniformly discretized at grid resolution; each
@@ -237,8 +239,6 @@ def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
     visibility chain.
     """
     path = np.asarray(path, dtype=float)
-    if margin is None:
-        margin = grid.resolution
     vis_grid = inflated if inflated is not None else grid
     dense = discretize_polyline(path, grid.resolution)
     start_yaw = _heading(dense[0], dense[min(1, len(dense) - 1)])
@@ -259,7 +259,7 @@ def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
         if np.linalg.norm(last_visible - back.position) > 1e-12:
             kept.append(Se2Waypoint(last_visible, seg_heading, "corner"))
             back = kept[-1]
-        new_pos, new_yaw, safe, _ = push_away(shape, p_c, seed_yaw, grid, margin, max_attempts)
+        new_pos, new_yaw, safe, _ = push_away(shape, p_c, seed_yaw, grid)
         if (safe
                 and np.linalg.norm(new_pos - back.position) > 1e-12
                 and is_visible(vis_grid, back.position, new_pos)

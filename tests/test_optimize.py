@@ -7,7 +7,6 @@ from se2plan.minco import MincoSpline, construct, control_effort
 from se2plan.optimize import (DegenerateInputError, Weights, lbfgs, r2_cost, r2_optimize,
                               se2_cost, se2_optimize, smoothing_grad)
 from se2plan.sequence import HIGH_RISK, LOW_RISK, MotionState, SubProblem
-from se2plan.shape import build_kernel
 from se2plan.sweep import continuous_check
 
 from conftest import empty_grid, grid_from_cells
@@ -190,21 +189,21 @@ def test_r2_cost_gradients_match_fd(rng):
         _fd_check_cost(spline, wps, durs, cost_of, rng=rng)
 
 
-def make_sub(kind, positions, orientations=None, risks=None):
+def make_sub(kind, positions, yaws=None, risks=None):
     n = len(positions)
-    if orientations is None:
-        orientations = [0] * n
+    if yaws is None:
+        yaws = [0.0] * n
     if risks is None:
         risks = [HIGH_RISK if kind == "SE2" else LOW_RISK] * n
     states = tuple(MotionState(np.asarray(p, float), k, r)
-                   for p, k, r in zip(positions, orientations, risks))
+                   for p, k, r in zip(positions, yaws, risks))
     return SubProblem(kind, states, 0)
 
 
 def test_r2_optimize_straight_line(slim_rect):
     positions = np.stack([np.linspace(0.3, 2.0, 12), np.full(12, 1.0)], axis=1)
     sub = make_sub("R2", positions)
-    out = r2_optimize(sub, Weights())
+    out = r2_optimize(sub, Weights(), budget=100)
     assert out.converged
     assert out.collision_free is None
     start = out.trajectory.eval(0.0, 0)
@@ -216,16 +215,15 @@ def test_r2_optimize_straight_line(slim_rect):
 def test_degenerate_subproblem_raises():
     sub = make_sub("R2", [(1.0, 1.0), (1.0, 1.0)])
     with pytest.raises(DegenerateInputError):
-        r2_optimize(sub, Weights())
+        r2_optimize(sub, Weights(), budget=100)
 
 
 def test_se2_optimize_free_corridor_near_min_jerk(slim_rect):
     grid = empty_grid(30)
-    kernel = build_kernel(slim_rect, 18, grid.resolution)
     positions = np.stack([np.linspace(0.6, 2.4, 12), np.full(12, 1.5)], axis=1)
     sub = make_sub("SE2", positions, risks=[LOW_RISK] * 12)
     weights = Weights()
-    out = se2_optimize(sub, weights, slim_rect, kernel, grid, budget=120)
+    out = se2_optimize(sub, weights, slim_rect, grid, budget=120)
     assert out.collision_free
     report = continuous_check(out.trajectory, slim_rect, grid)
     assert report.clear
@@ -248,11 +246,10 @@ def test_se2_optimize_impossible_gap_fails_cleanly(slim_rect):
     cells[:, 20:30] = False
     cells[14, 10:20] = False
     grid = grid_from_cells(cells)
-    kernel = build_kernel(slim_rect, 18, grid.resolution)
     xs = np.linspace(0.5, 2.5, 15)
     positions = np.stack([xs, np.full(15, 1.45)], axis=1)
     sub = make_sub("SE2", positions)
-    out = se2_optimize(sub, Weights(), slim_rect, kernel, grid, budget=40)
+    out = se2_optimize(sub, Weights(), slim_rect, grid, budget=40)
     assert out.collision_free is False
 
 

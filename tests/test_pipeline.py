@@ -139,6 +139,16 @@ def test_splice_dimension_mismatch_raises():
         splice([a, b])
 
 
+def test_plan_small_orientation_bank():
+    # the orientation search range is capped at half the bank
+    grid = empty_grid(30)
+    config = PlanConfig(roadmap_budget=120, max_candidates=1, n_orientations=6,
+                        se2_budget=100, r2_budget=60, seed=0)
+    result = plan(grid, rectangle(0.6, 0.3), (0.5, 0.5, 0.0), (2.5, 2.5, 0.0), config)
+    assert result.status == "success", result.failures
+    assert result.certificate.clear
+
+
 def test_kind_lengths_count_reoptimized_as_se2():
     # straight rest-to-rest pieces of 1, 2 and 0.5 m
     a = single_piece([0, 0, 0], [1, 0, 0])
@@ -176,7 +186,7 @@ def test_repair_resolves_only_the_sub_a_hit_falls_in(three_subs):
     subs, trajs, solved = three_subs
     kinds = [s.kind for s in subs]
     spliced, new_trajs, new_kinds, err = _repair(subs, trajs, kinds, _one_hit(2.4, 2.6),
-                                                 Weights(), None, None, None, FAST)
+                                                 Weights(), None, None, FAST)
     assert err is None
     assert solved == [subs[2]]
     assert new_kinds == ["R2", "SE2", "R2-reoptimized"]
@@ -189,7 +199,7 @@ def test_repair_resolves_only_the_sub_a_hit_falls_in(three_subs):
 def test_repair_fails_a_hit_inside_the_se2_span(three_subs):
     subs, trajs, solved = three_subs
     spliced, _, _, err = _repair(subs, trajs, [s.kind for s in subs], _one_hit(1.4, 1.6),
-                                 Weights(), None, None, None, FAST)
+                                 Weights(), None, None, FAST)
     assert err == "SE2-originated piece unsafe after splice"
     assert spliced is None
     assert solved == []

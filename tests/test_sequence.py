@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import se2plan.sequence
 from se2plan.sequence import (HIGH_RISK, LOW_RISK, MotionSequence, MotionState,
                               extract_subproblems, generate_sequence, safe_yaw,
                               seg_adjust)
@@ -46,12 +47,6 @@ def test_safe_yaw_enclosed_empty(kernel):
     cells[15, 15] = False
     grid = grid_from_cells(cells)
     assert safe_yaw((1.55, 1.55), 0, kernel, grid) == []
-
-
-def test_safe_yaw_range_validation(kernel):
-    grid = empty_grid(10)
-    with pytest.raises(ValueError):
-        safe_yaw((0.5, 0.5), 0, kernel, grid, search_range=10)
 
 
 def test_seg_adjust_free_segment(slim_rect, kernel):
@@ -108,7 +103,7 @@ def test_generate_sequence_open_map(slim_rect, kernel):
     assert np.allclose(seq.states[0].position, [0.6, 1.5])
     assert np.allclose(seq.states[-1].position, [2.4, 1.5])
     assert all(s.risk == LOW_RISK for s in seq.states)
-    assert all(s.orientation == 0 for s in seq.states[1:-1])
+    assert all(s.yaw == 0.0 for s in seq.states[1:-1])
     gaps = np.linalg.norm(np.diff(seq.positions, axis=0), axis=1)
     assert np.all(gaps <= 2 * grid.resolution + 1e-9)
 
@@ -127,7 +122,31 @@ def test_generate_sequence_slit_high_risk(slim_rect, kernel):
     # low-risk soundness
     for s in seq.states:
         if s.risk == LOW_RISK:
-            assert not kernel_collides(kernel, grid, s.position, s.orientation)
+            assert not kernel_collides(kernel, grid, s.position, kernel.index_of(s.yaw))
+
+
+def test_generate_sequence_repairs_a_segment_once(slim_rect, kernel, monkeypatch):
+    # the straight path runs inside the first baffle wall: many of its points
+    # have no safe yaw and the segment cannot be repaired
+    grid = baffle_grid()
+    original = se2plan.sequence.seg_adjust
+    depth = 0
+    top_level = []
+
+    def counting(*args, **kwargs):
+        nonlocal depth
+        if depth == 0:
+            top_level.append(args[:2])
+        depth += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(se2plan.sequence, "seg_adjust", counting)
+    seq = generate_sequence(straight_path((1.95, 0.5), (1.95, 2.5)), slim_rect, kernel, grid)
+    assert HIGH_RISK in seq.risks
+    assert len(top_level) == 1
 
 
 def test_extract_subproblems_all_low():
