@@ -14,9 +14,8 @@ from .sequence import (MotionSequence, MotionState, SubProblem, extract_subprobl
 from .shape import (GeometryError, RobotKernel, RobotShape, build_kernel, inscribed_radius,
                     kernel_collides, parse_shape, rectangle)
 from .sweep import CollisionReport, continuous_check, swept_boundary_samples, swept_sdf_batch
-from .topo import (InfeasibleEndpointError, Se2Path, Se2Waypoint, build_roadmap,
-                   dedup_paths, extract_paths, orientation_interp, push_away,
-                   shortcut, uvd_equivalent)
+from .topo import (InfeasibleEndpointError, build_roadmap, dedup_paths, extract_paths,
+                   orientation_interp, push_away, shortcut, uvd_equivalent)
 
 __all__ = [
     "MalformedMapError", "OccupancyGrid", "dump_map", "extract_obstacles",
@@ -31,9 +30,8 @@ __all__ = [
     "inscribed_radius", "kernel_collides", "parse_shape", "rectangle",
     "CollisionReport", "continuous_check", "swept_boundary_samples",
     "swept_sdf_batch",
-    "InfeasibleEndpointError", "Se2Path", "Se2Waypoint", "build_roadmap",
-    "dedup_paths", "extract_paths", "orientation_interp", "push_away",
-    "shortcut", "uvd_equivalent",
+    "InfeasibleEndpointError", "build_roadmap", "dedup_paths", "extract_paths",
+    "orientation_interp", "push_away", "shortcut", "uvd_equivalent",
 ]
 
 __version__ = "0.1.0"

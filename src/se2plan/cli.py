@@ -57,9 +57,10 @@ def _parse_pose(text: str, label: str) -> np.ndarray:
 
 
 def _typed_section(section, cls, label: str):
-    """Build a dataclass from a config section using the field types."""
+    """Build a dataclass from a config section using the types of its numeric
+    fields; any other key is unknown."""
     kwargs = {}
-    by_name = {f.name: f for f in fields(cls)}
+    by_name = {f.name: f for f in fields(cls) if f.type in ("int", "float", "float | None")}
     for key, raw in section.items():
         if key not in by_name:
             raise ConfigError(f"unknown {label} key {key!r}")
@@ -98,11 +99,8 @@ def load_run_config(path, out_dir=None, render: bool = False,
             raise ConfigError(f"config {path} missing files.{key}")
     base = path.parent
     weights = _typed_section(parser["weights"], Weights, "weights") if "weights" in parser else Weights()
-    planner = dict(parser["planner"]) if "planner" in parser else {}
-    planner.pop("weights", None)
-    plan_section = configparser.ConfigParser()
-    plan_section["planner"] = planner
-    plan_config = _typed_section(plan_section["planner"], PlanConfig, "planner")
+    planner = parser["planner"] if "planner" in parser else {}
+    plan_config = _typed_section(planner, PlanConfig, "planner")
     plan_config = replace(plan_config, weights=weights)
     if seed is not None:
         plan_config = replace(plan_config, seed=seed)

@@ -243,25 +243,28 @@ def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
     times = traj.start_times[:, None] + traj.durations[:, None] * nodes  # (M, Q)
     idx = np.argmin(np.abs(times[:, :, None] - anchor_times), axis=2)  # nearest anchor
 
-    def position(state):
+    samples = {}
+
+    def residuals(state):
+        # the position and heading residuals read disjoint channels of the
+        # same samples, so one integrand carries both, each with its weight
         dp = state[..., :2] - anchor_positions[idx]
         pv, dv = smoothing_grad(np.sum(dp * dp, axis=-1), mu_p)
-        dg = np.zeros_like(state)
-        dg[..., :2] = (dv * 2)[..., None] * dp
-        return pv, dg
-
-    def heading(state):
         dyaw = state[..., 2] - anchor_yaws[idx]
         pr, dr = smoothing_grad(4 * (1 - np.cos(dyaw)), weights.mu)
-        dg = np.zeros_like(state)
-        dg[..., 2] = dr * 4 * np.sin(dyaw)
-        return pr, dg
+        samples["G_p"], samples["G_R"] = pv, pr
+        dg = np.empty_like(state)
+        dg[..., :2] = (weights.lam_p * dv * 2)[..., None] * dp
+        dg[..., 2] = weights.lam_r * dr * 4 * np.sin(dyaw)
+        return weights.lam_p * pv + weights.lam_r * pr, dg
 
-    gp_total, gc_p, gt_p = minco.time_integral(traj, position, 0, nodes, wq)
-    gr_total, gc_r, gt_r = minco.time_integral(traj, heading, 0, nodes, wq)
+    _, gc_g, gt_g = minco.time_integral(traj, residuals, 0, nodes, wq)
+    tw = traj.durations[:, None] * wq  # the quadrature weights T_i w_q
+    gp_total = float(np.sum(tw * samples["G_p"]))
+    gr_total = float(np.sum(tw * samples["G_R"]))
     cost = weights.lam_m * jm + weights.lam_t * jt + weights.lam_p * gp_total + weights.lam_r * gr_total
-    grad_c = weights.lam_m * gc_m + weights.lam_p * gc_p + weights.lam_r * gc_r
-    grad_t = weights.lam_m * gt_m + weights.lam_t + weights.lam_p * gt_p + weights.lam_r * gt_r
+    grad_c = weights.lam_m * gc_m + gc_g
+    grad_t = weights.lam_m * gt_m + weights.lam_t + gt_g
     terms = {"J_m": jm, "J_t": jt, "G_p": gp_total, "G_R": gr_total}
     return cost, terms, grad_c, grad_t
 

@@ -181,12 +181,12 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         result.failures.append("no roadmap path between start and goal")
         return finish(t_refine=clock() - t0)
     taut = [simplify_path(p, inflated) for p in raw_paths]
-    candidates = dedup_paths(taut, inflated)[: config.max_candidates]
+    candidates = dedup_paths(taut, inflated, config.max_candidates)
     sequences = []
     for i, cand in enumerate(candidates):
         try:
-            se2_path = shortcut(cand, shape, grid, inflated=inflated)
-            seq = generate_sequence(se2_path, shape, kernel, grid, source_path_id=i)
+            waypoints = shortcut(cand, shape, grid, inflated=inflated)
+            seq = generate_sequence(waypoints, shape, kernel, grid, source_path_id=i)
             sequences.append(seq)
         except ValueError as e:
             result.failures.append(f"candidate {i}: front-end failure: {e}")

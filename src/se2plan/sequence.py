@@ -1,4 +1,5 @@
-"""Dense SE(2) motion sequence generation: per-point safe-yaw kernel search,
+"""Dense SE(2) motion sequence generation from the shortcut's waypoint
+positions: per-point safe-yaw kernel search (which picks every heading),
 recursive segment repair, high/low-risk labeling, and extraction of the
 SE(2) / R^2 sub-problems handed to the back-end optimizers.
 """
@@ -11,7 +12,7 @@ import numpy as np
 
 from .gridmap import OccupancyGrid
 from .shape import RobotKernel, RobotShape, kernel_collides
-from .topo import Se2Path, discretize_polyline, push_away
+from .topo import discretize_polyline, push_away
 
 LOW_RISK = "LowRisk"
 HIGH_RISK = "HighRisk"
@@ -124,60 +125,38 @@ def seg_adjust(seg_start, seg_end, shape: RobotShape, kernel: RobotKernel,
     return np.vstack([left, right[1:]])
 
 
-def generate_sequence(path: Se2Path, shape: RobotShape, kernel: RobotKernel,
+def generate_sequence(path: np.ndarray, shape: RobotShape, kernel: RobotKernel,
                       grid: OccupancyGrid, source_path_id: int = 0) -> MotionSequence:
-    """Convert a topological SE(2) path to a dense risk-labeled sequence.
+    """Convert a waypoint polyline ((K, 2) positions) to a dense risk-labeled
+    sequence; the kernel picks every heading.
 
     Each inter-waypoint segment is discretized at grid resolution; every point
-    gets a safe orientation near the path tangent when one exists (low risk).
-    When none exists the segment is repaired locally, once per segment; if
-    repair fails the point is kept and marked high risk for SE(2)
-    optimization.
+    gets the first safe orientation near the path tangent when one exists (low
+    risk), else the tangent orientation (high risk, for SE(2) optimization).
+    A segment with a high-risk point is repaired once; a repaired polyline's
+    labels replace the segment's.
     """
-    states: list[MotionState] = []
 
-    def emplace(buffer, pos, k, risk):
-        if buffer and np.linalg.norm(buffer[-1].position - pos) < 1e-12:
-            return
-        if not buffer and states and np.linalg.norm(states[-1].position - pos) < 1e-12:
-            return
-        buffer.append(MotionState(np.asarray(pos, dtype=float), kernel.yaw_of(int(k)), risk))
-
-    waypoints = path.waypoints
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        buffer: list[MotionState] = []
-        repair_failed = False  # seg_adjust depends only on the segment
-        pts = discretize_polyline(np.array([a.position, b.position]), grid.resolution)
-        for i, p in enumerate(pts):
-            if i == 0 and states:
-                continue  # junction point already emplaced by previous segment
+    def label(polyline, first):
+        pts = discretize_polyline(polyline, grid.resolution)
+        out = []
+        for i in range(first, len(pts)):
             k0 = _tangent_index(kernel, pts, i)
-            free = safe_yaw(p, k0, kernel, grid)
-            if free:
-                emplace(buffer, p, free[0], LOW_RISK)
-                continue
-            if not repair_failed:
-                adjusted = seg_adjust(a.position, b.position, shape, kernel, grid)
-                if adjusted is not None:
-                    buffer = []
-                    adj_pts = discretize_polyline(adjusted, grid.resolution)
-                    for j, q in enumerate(adj_pts):
-                        if j == 0 and states:
-                            continue
-                        kj = _tangent_index(kernel, adj_pts, j)
-                        free_j = safe_yaw(q, kj, kernel, grid)
-                        emplace(buffer, q, free_j[0] if free_j else kj,
-                                LOW_RISK if free_j else HIGH_RISK)
-                    break  # adjusted polyline replaces the rest of this segment
-                repair_failed = True
-            emplace(buffer, p, k0, HIGH_RISK)
-        states.extend(buffer)
-    if not states or np.linalg.norm(states[0].position - waypoints[0].position) > 1e-9:
-        yaw0 = kernel.yaw_of(kernel.index_of(waypoints[0].yaw))
-        states.insert(0, MotionState(waypoints[0].position, yaw0, LOW_RISK))
-    if np.linalg.norm(states[-1].position - waypoints[-1].position) > 1e-9:
-        yaw1 = kernel.yaw_of(kernel.index_of(waypoints[-1].yaw))
-        states.append(MotionState(waypoints[-1].position, yaw1, LOW_RISK))
+            free = safe_yaw(pts[i], k0, kernel, grid)
+            out.append(MotionState(pts[i], kernel.yaw_of(free[0] if free else k0),
+                                   LOW_RISK if free else HIGH_RISK))
+        return out
+
+    path = np.asarray(path, dtype=float)
+    states: list[MotionState] = []
+    for a, b in zip(path[:-1], path[1:]):
+        first = 1 if states else 0  # the junction point comes from the previous segment
+        seg = label(np.array([a, b]), first)
+        if any(s.risk == HIGH_RISK for s in seg):
+            adjusted = seg_adjust(a, b, shape, kernel, grid)
+            if adjusted is not None:
+                seg = label(adjusted, first)
+        states.extend(seg)
     return MotionSequence(tuple(states), source_path_id)
 
 

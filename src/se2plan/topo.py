@@ -1,11 +1,12 @@
 """Topological front end: roadmap construction on the inflated grid,
-penalized-shortest-path multi-path extraction, geometry-aware path shortcut
-with body-SDF push-away, and uniform-visibility-deformation path filtering.
+penalized-shortest-path multi-path extraction, uniform-visibility-deformation
+path filtering, and a geometry-aware path shortcut with body-SDF push-away
+that yields waypoint positions (the motion sequence picks every heading).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -38,38 +39,6 @@ def orientation_interp(theta_a: float, theta_b: float, s: float) -> float:
         raise ValueError("blend fraction must be in [0, 1]")
     delta = wrap_angle(theta_b - theta_a)
     return wrap_angle(theta_a + delta * (3 * s**2 - 2 * s**3))
-
-
-@dataclass(frozen=True)
-class Se2Waypoint:
-    position: np.ndarray  # (2,)
-    yaw: float  # normalized to (-pi, pi]
-    provenance: str = "passthrough"  # start | goal | pushed | passthrough
-    safe: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
-
-
-@dataclass(frozen=True)
-class Se2Path:
-    waypoints: tuple  # of Se2Waypoint
-
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
-            raise ValueError("a path needs at least 2 waypoints")
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            if np.linalg.norm(a.position - b.position) < 1e-12:
-                raise ValueError("consecutive waypoints must not coincide")
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([w.position for w in self.waypoints])
-
-    def length(self) -> float:
-        p = self.positions
-        return float(np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)))
 
 
 @dataclass
@@ -226,54 +195,59 @@ def discretize_polyline(points: np.ndarray, step: float) -> np.ndarray:
 
 
 def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
-             inflated: OccupancyGrid | None = None) -> Se2Path:
-    """Greedy geometry-aware path shortcut.
+             inflated: OccupancyGrid | None = None) -> np.ndarray:
+    """Greedy geometry-aware path shortcut; returns the kept waypoint
+    positions as a (K, 2) array, start and goal included.
 
     The input point path is uniformly discretized at grid resolution; each
     discrete point is tested for visibility from the last kept waypoint (on
     the inflated grid when given, since the topological path lives there).
     On blockage the last visible sample becomes a corner waypoint; the
-    obstruction point is additionally seeded with an interpolated yaw and
-    pushed away from the real occupancy, and the pushed pose is kept as an
-    extra SE(2) waypoint when the push succeeded without breaking the
-    visibility chain.
+    obstruction point is additionally seeded with a yaw interpolated from the
+    last kept waypoint's and pushed away from the real occupancy, and the
+    pushed position is kept as an extra waypoint when the push succeeded,
+    stayed on the map and did not break the visibility chain.  Only the
+    positions leave this function: the motion sequence picks every heading.
     """
     path = np.asarray(path, dtype=float)
     vis_grid = inflated if inflated is not None else grid
     dense = discretize_polyline(path, grid.resolution)
-    start_yaw = _heading(dense[0], dense[min(1, len(dense) - 1)])
-    kept = [Se2Waypoint(dense[0], start_yaw, "start")]
+    kept = [dense[0]]
+    yaw = wrap_angle(_heading(dense[0], dense[min(1, len(dense) - 1)]))  # of kept[-1]
     last_visible = dense[0]
     for p_d in dense[1:]:
         back = kept[-1]
-        if np.linalg.norm(p_d - back.position) < 1e-12:
+        if np.linalg.norm(p_d - back) < 1e-12:
             continue
-        p_c = visibility(vis_grid, back.position, p_d)
+        p_c = visibility(vis_grid, back, p_d)
         if p_c is None:
             last_visible = p_d
             continue
-        chord = np.linalg.norm(p_d - back.position)
-        s = float(np.clip(np.linalg.norm(p_c - back.position) / max(chord, 1e-12), 0.0, 1.0))
-        seg_heading = _heading(back.position, p_d)
-        seed_yaw = orientation_interp(back.yaw, seg_heading, s)
-        if np.linalg.norm(last_visible - back.position) > 1e-12:
-            kept.append(Se2Waypoint(last_visible, seg_heading, "corner"))
-            back = kept[-1]
+        chord = np.linalg.norm(p_d - back)
+        s = float(np.clip(np.linalg.norm(p_c - back) / max(chord, 1e-12), 0.0, 1.0))
+        seg_heading = _heading(back, p_d)
+        seed_yaw = orientation_interp(yaw, seg_heading, s)
+        if np.linalg.norm(last_visible - back) > 1e-12:
+            kept.append(last_visible)
+            yaw = wrap_angle(seg_heading)
+            back = last_visible
         new_pos, new_yaw, safe, _ = push_away(shape, p_c, seed_yaw, grid)
         if (safe
-                and np.linalg.norm(new_pos - back.position) > 1e-12
-                and is_visible(vis_grid, back.position, new_pos)
+                and grid.in_bounds(new_pos)
+                and np.linalg.norm(new_pos - back) > 1e-12
+                and is_visible(vis_grid, back, new_pos)
                 and is_visible(vis_grid, new_pos, p_d)):
-            kept.append(Se2Waypoint(new_pos, new_yaw, "pushed", True))
-        last_visible = p_d if is_visible(vis_grid, kept[-1].position, p_d) else kept[-1].position
-    goal = dense[-1]
-    if np.linalg.norm(goal - kept[-1].position) > 1e-12:
-        goal_yaw = _heading(kept[-1].position, goal)
-        kept.append(Se2Waypoint(goal, goal_yaw, "goal"))
-    else:
-        last = kept[-1]
-        kept[-1] = Se2Waypoint(last.position, last.yaw, "goal", last.safe)
-    return Se2Path(tuple(kept))
+            kept.append(new_pos)
+            yaw = wrap_angle(new_yaw)
+        last_visible = p_d if is_visible(vis_grid, kept[-1], p_d) else kept[-1]
+    if np.linalg.norm(dense[-1] - kept[-1]) > 1e-12:
+        kept.append(dense[-1])
+    if len(kept) < 2:
+        raise ValueError("a path needs at least 2 waypoints")
+    kept = np.array(kept)
+    if np.any(np.linalg.norm(np.diff(kept, axis=0), axis=1) < 1e-12):
+        raise ValueError("consecutive waypoints must not coincide")
+    return kept
 
 
 def _heading(a, b) -> float:
@@ -315,17 +289,11 @@ def _resample_by_arc(points: np.ndarray, n: int) -> np.ndarray:
     return points[idx] + frac[:, None] * (points[idx + 1] - points[idx])
 
 
-def path_points(path) -> np.ndarray:
-    if isinstance(path, Se2Path):
-        return path.positions
-    return np.asarray(path, dtype=float)
-
-
 def uvd_equivalent(path_a, path_b, grid: OccupancyGrid) -> bool:
     """Uniform visibility deformation test: True iff corresponding
     arc-fraction samples of the two paths are mutually visible."""
-    pa = path_points(path_a)
-    pb = path_points(path_b)
+    pa = np.asarray(path_a, dtype=float)
+    pb = np.asarray(path_b, dtype=float)
     if np.linalg.norm(pa[0] - pb[0]) > 1e-9 or np.linalg.norm(pa[-1] - pb[-1]) > 1e-9:
         raise ValueError("UVD requires paths sharing start and goal")
     la = float(np.sum(np.linalg.norm(np.diff(pa, axis=0), axis=1)))
@@ -339,16 +307,19 @@ def uvd_equivalent(path_a, path_b, grid: OccupancyGrid) -> bool:
     return True
 
 
-def dedup_paths(paths: list, grid: OccupancyGrid) -> list:
-    """Keep the shortest representative of each UVD class (greedy pairwise
-    filtering; UVD is not transitive, so classes are approximate)."""
+def dedup_paths(paths: list, grid: OccupancyGrid, max_candidates: int) -> list:
+    """The shortest representatives of up to max_candidates UVD classes, in
+    order of length (greedy pairwise filtering; UVD is not transitive, so
+    classes are approximate).  Each path is judged only against the paths
+    already kept, so stopping at max_candidates keeps the same prefix."""
     def length(p):
-        pts = path_points(p)
-        return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+        return float(np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)))
 
     order = sorted(range(len(paths)), key=lambda i: (length(paths[i]), i))
     kept: list = []
     for i in order:
+        if len(kept) == max_candidates:
+            break
         if not any(uvd_equivalent(paths[i], k, grid) for k in kept):
             kept.append(paths[i])
     return kept

@@ -225,7 +225,7 @@ def _front_end_classes(grid, shape, seed):
                             rng=np.random.default_rng(seed))
     paths = extract_paths(roadmap, max_paths=10)
     taut = [simplify_path(p, inflated) for p in paths]
-    return len(dedup_paths(taut, inflated))
+    return len(dedup_paths(taut, inflated, len(taut)))
 
 
 def test_criterion_06_topology_fixture_class_counts():

@@ -140,6 +140,11 @@ def test_config_validation_errors(tmp_path):
                    "goal = 1 1 0\n[planner]\nrisk_pad = 3\n")
     with pytest.raises(ConfigError):
         load_run_config(cfg)
+    # the weights are set in their own [weights] section
+    cfg.write_text("[files]\nmap = m\nshape = s\n[query]\nstart = 0 0 0\n"
+                   "goal = 1 1 0\n[planner]\nweights = 3\n")
+    with pytest.raises(ConfigError, match="unknown planner key 'weights'"):
+        load_run_config(cfg)
 
 
 def test_seed_override(tmp_path):

@@ -6,7 +6,6 @@ from se2plan.sequence import (HIGH_RISK, LOW_RISK, MotionSequence, MotionState,
                               extract_subproblems, generate_sequence, safe_yaw,
                               seg_adjust)
 from se2plan.shape import build_kernel, kernel_collides
-from se2plan.topo import Se2Path, Se2Waypoint
 
 from conftest import baffle_grid, empty_grid, grid_from_cells
 
@@ -91,9 +90,7 @@ def test_seg_adjust_corner_clip(slim_rect, kernel):
 
 
 def straight_path(a, b):
-    yaw = float(np.arctan2(b[1] - a[1], b[0] - a[0]))
-    return Se2Path((Se2Waypoint(np.asarray(a, float), yaw, "start"),
-                    Se2Waypoint(np.asarray(b, float), yaw, "goal")))
+    return np.array([a, b], dtype=float)
 
 
 def test_generate_sequence_open_map(slim_rect, kernel):

@@ -10,6 +10,7 @@ relative 1e-12 (summation-order rounding is about 1e-13 here).
 import numpy as np
 import pytest
 
+import se2plan.minco
 from se2plan.minco import NCOEF, _DERIV_FACT, basis_many, construct
 from se2plan.minco import control_effort, control_effort_gradients
 from se2plan.optimize import Weights, _dynamics_penalty, _safety_penalty, r2_cost, smoothing_grad
@@ -254,6 +255,18 @@ def test_r2_residuals_match_loop():
         assert_rel(terms["G_p"], gp)
         assert_rel(terms["G_R"], gr)
         assert_term_rel((cost, grad_c, grad_t), (value, ref_c, ref_t))
+
+
+def test_r2_cost_samples_the_residuals_once(monkeypatch):
+    # one integral for the effort and one shared by both residuals
+    calls = []
+    original = se2plan.minco.time_integral
+    monkeypatch.setattr(se2plan.minco, "time_integral",
+                        lambda *args: calls.append(args[2]) or original(*args))
+    rng, traj = next(random_trajectories(1))
+    r2_cost(traj, Weights(), rng.uniform(-2.0, 2.0, (4, 2)), rng.uniform(-1.0, 1.0, 4),
+            np.linspace(0.0, 1.0, 4))
+    assert calls == [3, 0]
 
 
 def test_arc_length_matches_loop():

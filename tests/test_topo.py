@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+import se2plan.topo
 from se2plan.gridmap import inflate, is_visible
-from se2plan.shape import build_kernel, inscribed_radius, kernel_collides
-from se2plan.topo import (InfeasibleEndpointError, Roadmap, Se2Path, Se2Waypoint,
-                          build_roadmap, dedup_paths, discretize_polyline,
-                          extract_paths, orientation_interp, push_away, shortcut,
-                          simplify_path, uvd_equivalent, wrap_angle)
+from se2plan.shape import build_kernel, inscribed_radius, kernel_collides, rectangle
+from se2plan.topo import (InfeasibleEndpointError, Roadmap, build_roadmap, dedup_paths,
+                          discretize_polyline, extract_paths, orientation_interp,
+                          push_away, shortcut, simplify_path, uvd_equivalent, wrap_angle)
 
 from conftest import box_grid, empty_grid, grid_from_cells, wall_grid
 
@@ -126,12 +126,9 @@ def test_shortcut_straight_visible_path(slim_rect):
     grid = empty_grid(30)
     path = np.array([[0.5, 0.5], [1.0, 0.9], [2.5, 2.0]])
     out = shortcut(path, slim_rect, grid)
-    assert len(out.waypoints) == 2
-    assert out.waypoints[0].provenance == "start"
-    assert out.waypoints[-1].provenance == "goal"
-    assert np.allclose(out.waypoints[0].position, [0.5, 0.5])
-    assert np.allclose(out.waypoints[-1].position, [2.5, 2.0])
-    assert out.length() == pytest.approx(np.linalg.norm([2.0, 1.5]), rel=1e-9)
+    assert isinstance(out, np.ndarray) and out.shape == (2, 2)
+    assert np.allclose(out[0], [0.5, 0.5])
+    assert np.allclose(out[-1], [2.5, 2.0])
 
 
 def test_shortcut_around_box(slim_rect):
@@ -143,20 +140,28 @@ def test_shortcut_around_box(slim_rect):
     path = np.array([[0.5, 0.5], [1.5, 0.7], [2.3, 1.0], [2.5, 2.5]])
     out = shortcut(path, slim_rect, grid, inflated=inflated)
     dense = discretize_polyline(path, grid.resolution)
-    assert len(out.waypoints) < len(dense)
-    assert np.allclose(out.waypoints[0].position, path[0])
-    assert np.allclose(out.waypoints[-1].position, path[-1])
-    for wp in out.waypoints:
-        if wp.safe and wp.provenance == "pushed":
-            k = kernel.index_of(wp.yaw)
-            assert not kernel_collides(kernel, grid, wp.position, k)
+    assert len(out) < len(dense)
+    assert np.allclose(out[0], path[0])
+    assert np.allclose(out[-1], path[-1])
+    for wp in out:
+        assert any(not kernel_collides(kernel, grid, wp, k) for k in range(kernel.n_orientations))
 
 
-def test_se2_path_validation():
-    with pytest.raises(ValueError):
-        Se2Path((Se2Waypoint(np.zeros(2), 0.0),))
-    with pytest.raises(ValueError):
-        Se2Path((Se2Waypoint(np.zeros(2), 0.0), Se2Waypoint(np.zeros(2), 0.1)))
+def test_shortcut_rejects_coinciding_points(slim_rect):
+    with pytest.raises(ValueError, match="at least 2 waypoints"):
+        shortcut(np.array([[0.5, 0.5], [0.5, 0.5]]), slim_rect, empty_grid(30))
+
+
+def test_shortcut_keeps_pushed_waypoints_on_the_map():
+    # the obstruction sits next to the map's bottom edge: pushing it clear of
+    # the box moves the pose below y = 0, off the map
+    cells = np.zeros((20, 20), dtype=bool)
+    cells[2:4, 16:18] = True
+    grid = grid_from_cells(cells)
+    path = np.array([[1.5, 0.1], [1.9, 0.1], [1.95, 0.5]])
+    out = shortcut(path, rectangle(0.3, 0.16), grid)
+    assert all(grid.in_bounds(p) for p in out)
+    assert np.allclose(out[0], path[0]) and np.allclose(out[-1], path[-1])
 
 
 def test_uvd_identical_paths():
@@ -186,13 +191,32 @@ def test_dedup_paths():
     below = np.array([[0.5, 1.5], [1.5, 0.8], [2.5, 1.5]])
     below_long = np.array([[0.5, 1.5], [1.5, 0.6], [2.5, 1.5]])
     above = np.array([[0.5, 1.5], [1.5, 2.2], [2.5, 1.5]])
-    kept = dedup_paths([below_long, above, below], grid)
+    kept = dedup_paths([below_long, above, below], grid, 3)
     assert len(kept) == 2
     # the shorter representative of the equivalent pair survives
     assert any(np.array_equal(k, below) for k in kept)
     assert not any(np.array_equal(k, below_long) for k in kept)
-    assert dedup_paths([], grid) == []
-    assert len(dedup_paths([below], grid)) == 1
+    assert dedup_paths([], grid, 0) == []
+    assert len(dedup_paths([below], grid, 1)) == 1
+
+
+def test_dedup_paths_stops_at_max_candidates(monkeypatch):
+    grid = box_grid(30, box=(12, 18, 12, 18))
+    paths = [np.array([[0.5, 1.5], [1.5, y], [2.5, 1.5]])
+             for y in (0.6, 2.2, 0.8, 2.6, 1.5, 0.3)]
+    full = dedup_paths(paths, grid, len(paths))
+    assert len(full) >= 3
+    for k in range(1, len(paths) + 1):
+        kept = dedup_paths(paths, grid, k)
+        assert len(kept) == min(k, len(full))
+        assert all(a is b for a, b in zip(kept, full))
+    calls = []
+    original = se2plan.topo.uvd_equivalent
+    monkeypatch.setattr(se2plan.topo, "uvd_equivalent",
+                        lambda *args: calls.append(args) or original(*args))
+    kept = dedup_paths(paths, grid, 1)
+    assert len(kept) == 1 and kept[0] is full[0]
+    assert calls == []
 
 
 def test_simplify_path():
