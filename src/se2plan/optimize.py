@@ -73,8 +73,10 @@ class Weights:
         for name in ("lam_m", "lam_t", "lam_s", "lam_d", "lam_p", "lam_r", "d_safe"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
+        # written as `not x > 0` so that NaN fails too
+        for name in ("mu", "v_max", "w_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass
@@ -453,7 +455,8 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
 
 def r2_optimize(sub, weights: Weights, budget: int) -> OptOutcome:
     """Optimize a low-risk sub-problem with residual tracking only; final
-    safety is certified later by the pipeline's whole-trajectory check."""
+    safety is certified by the pipeline's continuous check of the returned
+    sub-trajectory."""
     start, end, wps, durs = _sub_geometry(sub, weights.v_max)
     positions = np.array([s.position for s in sub.states])
     yaws_raw = np.array([s.yaw for s in sub.states])

@@ -1,6 +1,12 @@
 """Planner orchestration: topology candidates, sequence generation,
-SE(2)-first optimization with discard-on-failure, R^2 fill-in, splicing,
-whole-trajectory certification, and minimum-control-effort selection.
+SE(2)-first optimization with discard-on-failure, R^2 fill-in, per-piece
+certification, splicing, and minimum-control-effort selection.
+
+Each sub-trajectory is certified where it is solved: an SE(2) solve returns
+the verdict of its own zero-margin continuous check, and an R^2 solve is
+checked here and, on a hit, re-solved in SE(2).  A spliced candidate is clear
+exactly when every piece is, since the sweep of a concatenation is the union
+of the pieces' sweeps and splicing shifts yaw only by whole turns.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ class PlanConfig:
                      "se2_budget", "r2_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.connection_radius is not None and not self.connection_radius > 0:
+            raise ValueError("connection_radius must be > 0")
 
 
 @dataclass
@@ -62,42 +70,31 @@ class SpliceError(ValueError):
 
 
 def splice(pieces: list[Trajectory]) -> Trajectory:
-    """Concatenate sub-trajectories into one.
+    """Concatenate (x, y, yaw) sub-trajectories into one.
 
     Every sub-problem starts and ends at rest, so adjacent sub-trajectories
-    already share their junction state; position, velocity and acceleration
-    are checked to agree within 1e-6 at each junction, not blended.
+    already share their junction state up to whole turns of yaw, which each
+    sub's own unwrapping may add.  At each junction the next piece's yaw is
+    shifted by the multiple of 2*pi nearest the previous piece's end yaw
+    (whole turns do not move the body), then position, velocity and
+    acceleration are checked to agree within 1e-6, not blended.
     """
     if not pieces:
         raise SpliceError("nothing to splice")
-    if len({p.dim for p in pieces}) != 1:
-        raise SpliceError("piece dimensions differ")
+    if {p.dim for p in pieces} != {3}:
+        raise SpliceError("pieces must all be (x, y, yaw) trajectories")
+    coeffs = [np.array(pieces[0].coeffs)]
     for k, (a, b) in enumerate(zip(pieces, pieces[1:])):
-        end = basis_many(a.durations[-1], np.arange(3)) @ a.coeffs[-1]
-        start = basis_many(0.0, np.arange(3)) @ b.coeffs[0]
+        end = basis_many(a.durations[-1], np.arange(3)) @ coeffs[-1][-1]
+        c = np.array(b.coeffs)
+        turns = round((end[0, 2] - c[0, 0, 2]) / (2 * np.pi))
+        if turns:
+            c[:, 0, 2] += 2 * np.pi * turns
+        start = basis_many(0.0, np.arange(3)) @ c[0]
         if np.max(np.abs(end - start)) > 1e-6:
             raise SpliceError(f"junction {k} state mismatch (p, v, a): {end} vs {start}")
-    return Trajectory(np.concatenate([p.durations for p in pieces]),
-                      np.concatenate([p.coeffs for p in pieces]))
-
-
-def _align_yaw(trajs: list[Trajectory]) -> list[Trajectory]:
-    """Shift each sub-trajectory's yaw channel by a multiple of 2*pi so that
-    junction yaws are numerically continuous (per-sub unwrapping can differ
-    by full turns across a shared junction)."""
-    out = trajs[:1]
-    for tr in trajs[1:]:
-        prev = out[-1]
-        end_yaw = float(prev.eval(prev.total_duration, 0)[2])
-        start_yaw = float(tr.eval(0.0, 0)[2])
-        turns = round((end_yaw - start_yaw) / (2 * np.pi))
-        if turns == 0:
-            out.append(tr)
-            continue
-        coeffs = np.array(tr.coeffs).copy()
-        coeffs[:, 0, 2] += 2 * np.pi * turns
-        out.append(Trajectory(np.array(tr.durations).copy(), coeffs))
-    return out
+        coeffs.append(c)
+    return Trajectory(np.concatenate([p.durations for p in pieces]), np.concatenate(coeffs))
 
 
 def _some_orientation_free(kernel, grid, p) -> bool:
@@ -195,14 +192,6 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     time_se2 = 0.0
     time_r2 = 0.0
     time_certify = 0.0
-
-    def certify(traj):
-        nonlocal time_certify
-        t1 = clock()
-        report = continuous_check(traj, shape, grid, margin=0.0)
-        time_certify += clock() - t1
-        return report
-
     survivors = []
     occupied = grid.occupied_centers()
 
@@ -218,6 +207,19 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         values, _ = shape.sdf_at_pose(near, state.position, state.yaw)
         return float(np.min(values)) >= weights.d_safe
 
+    def solve(sub, in_se2):
+        nonlocal time_r2, time_se2
+        t1 = clock()
+        try:
+            if in_se2:
+                return se2_optimize(sub, weights, shape, grid, budget=config.se2_budget)
+            return r2_optimize(sub, weights, budget=config.r2_budget)
+        finally:
+            if in_se2:
+                time_se2 += clock() - t1
+            else:
+                time_r2 += clock() - t1
+
     for seq in sequences:
         # subs come in sequence order; kinds and trajs are indexed like them
         subs = extract_subproblems(seq, good_junction=good_junction)
@@ -225,91 +227,50 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         trajs = [None] * len(subs)
         failed = None
         # SE(2) sub-problems first (stable sort); a single failure discards
-        # the candidate
+        # the candidate.  An SE(2) solve reports its own zero-margin check;
+        # an R^2 one is checked here and re-solved in SE(2) on a hit
         for i, sub in sorted(enumerate(subs), key=lambda e: e[1].kind != "SE2"):
-            t1 = clock()
-            out = None
             try:
-                if sub.kind == "SE2":
-                    out = se2_optimize(sub, weights, shape, grid, budget=config.se2_budget)
-                else:
-                    out = r2_optimize(sub, weights, budget=config.r2_budget)
+                out = solve(sub, sub.kind == "SE2")
+                if sub.kind == "R2":
+                    t1 = clock()
+                    clear = continuous_check(out.trajectory, shape, grid, margin=0.0).clear
+                    time_certify += clock() - t1
+                    if not clear:
+                        kinds[i] = "R2-reoptimized"
+                        out = solve(sub, True)
             except DegenerateInputError as e:
-                failed = f"candidate {seq.source_path_id}: degenerate {sub.kind} sub-problem: {e}"
-            finally:
-                dt = clock() - t1
-                if sub.kind == "SE2":
-                    time_se2 += dt
-                else:
-                    time_r2 += dt
-            if failed:
+                failed = f"degenerate {sub.kind} sub-problem: {e}"
                 break
-            if sub.kind == "SE2" and not out.collision_free:
-                failed = f"candidate {seq.source_path_id}: SE2 sub-problem not collision-free"
+            if kinds[i] != "R2" and not out.collision_free:
+                failed = ("SE2 sub-problem not collision-free" if kinds[i] == "SE2"
+                          else "R2 piece re-optimization failed")
                 break
             trajs[i] = out.trajectory
         if failed:
-            result.failures.append(failed)
+            result.failures.append(f"candidate {seq.source_path_id}: {failed}")
             continue
-        trajs = _align_yaw(trajs)
         try:
             spliced = splice(trajs)
         except SpliceError as e:
             result.failures.append(f"candidate {seq.source_path_id}: splice failure: {e}")
             continue
-        report = certify(spliced)
-        err = None
-        if not report.clear:
-            t1 = clock()
-            spliced, trajs, kinds, err = _repair(subs, trajs, kinds, report, weights, shape,
-                                                 grid, config)
-            time_se2 += clock() - t1  # repair solves are SE(2) optimization
-            if not err and not (report := certify(spliced)).clear:
-                err = "still unsafe after one re-optimization round"
-        if err:
-            result.failures.append(f"candidate {seq.source_path_id}: {err}")
-            continue
         effort = minco.control_effort(spliced)
-        survivors.append((effort, seq.source_path_id, spliced, kinds, trajs, report))
+        survivors.append((effort, seq.source_path_id, spliced, kinds, trajs))
 
     if not survivors:
         result.status = "all-candidates-failed" if sequences else "no-path"
         return finish(t_refine, time_r2, time_se2, time_certify, tried=len(sequences))
     survivors.sort(key=lambda s: (s[0], s[1]))
-    _, _, traj, kinds, trajs, report = survivors[0]
+    _, _, traj, kinds, trajs = survivors[0]
     result.status = "success"
     result.trajectory = traj
     result.provenance = kinds
     result.piece_counts = [t.n_pieces for t in trajs]
-    result.certificate = report
+    # the sweep of a concatenation is the union of its pieces' sweeps
+    result.certificate = CollisionReport("clear")
     result.survivor_provenance = [list(s[3]) for s in survivors]
     len_r2, len_se2 = _kind_lengths(trajs, kinds)
     return finish(t_refine, time_r2, time_se2, time_certify, tried=len(sequences),
                   survived=len(survivors), len_r2=len_r2, len_se2=len_se2)
 
-
-def _repair(subs, trajs, kinds, report, weights, shape, grid, config):
-    """One repair round for a failed certificate: a hit marks every sub whose
-    time span (cumulative durations of `trajs`) its interval touches; unsafe
-    R2 subs are re-optimized in SE(2) and re-spliced, an unsafe SE2 sub fails
-    the candidate.  Returns (spliced, trajs, kinds, None) or (None, ..., error)."""
-    edges = np.concatenate([[0.0], np.cumsum([t.total_duration for t in trajs])])
-    hits = np.array([interval for interval, _, _ in report.hits]).reshape(-1, 2)
-    touched = (hits[:, :1] <= edges[1:] + 1e-9) & (hits[:, 1:] >= edges[:-1] - 1e-9)
-    trajs, kinds = list(trajs), list(kinds)
-    for i in np.nonzero(np.any(touched, axis=0))[0]:
-        if subs[i].kind == "SE2":
-            return None, trajs, kinds, "SE2-originated piece unsafe after splice"
-        try:
-            out = se2_optimize(subs[i], weights, shape, grid, budget=config.se2_budget)
-        except DegenerateInputError as e:
-            return None, trajs, kinds, f"re-optimization degenerate: {e}"
-        if not out.collision_free:
-            return None, trajs, kinds, "R2 piece re-optimization failed"
-        trajs[i] = out.trajectory
-        kinds[i] = "R2-reoptimized"
-    trajs = _align_yaw(trajs)
-    try:
-        return splice(trajs), trajs, kinds, None
-    except SpliceError as e:
-        return None, trajs, kinds, f"splice failure after repair: {e}"

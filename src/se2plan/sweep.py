@@ -22,6 +22,9 @@ _GOLDEN = (np.sqrt(5) - 1) / 2
 _REFINE_T_TOL = 1e-9
 _LIPSCHITZ_PROBES = 128  # velocity samples behind the Lipschitz bound
 _MAX_COARSE_SAMPLES = 4096
+# (time sample, obstacle point) pairs per coarse SDF evaluation: bounds the
+# per-edge intermediates of a certificate, however long and cluttered its sweep
+_COARSE_BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,9 @@ def _swept_sdf(traj, shape, points, spacing_target, margin, lip):
     if points.shape[0] == 0:
         return np.zeros(0), np.zeros(0)
     ts = _coarse_times(traj, lip, spacing_target)
-    vals = _composed(traj, shape, points, ts[:, None])  # (T, P)
+    block = max(_COARSE_BLOCK_PAIRS // len(ts), 1)
+    vals = np.concatenate([_composed(traj, shape, points[j:j + block], ts[:, None])
+                           for j in range(0, points.shape[0], block)], axis=1)  # (T, P)
     arg = np.argmin(vals, axis=0)
     out_v = vals[arg, np.arange(points.shape[0])]
     out_t = ts[arg]

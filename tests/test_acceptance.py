@@ -18,7 +18,7 @@ from se2plan.optimize import Weights, r2_cost, se2_cost, smoothing_grad
 from se2plan.pipeline import PlanConfig, plan
 from se2plan.shape import (build_kernel, inscribed_radius, kernel_collides, polygon_sdf,
                            rectangle, rotation)
-from se2plan.sweep import swept_sdf_batch
+from se2plan.sweep import continuous_check, swept_sdf_batch
 from se2plan.topo import build_roadmap, dedup_paths, extract_paths, simplify_path
 
 from conftest import baffle_grid, random_obstacle_grid, random_simple_polygon, wall_grid
@@ -248,6 +248,8 @@ def test_criterion_07_end_to_end_slit_fixture():
         elapsed = time.perf_counter() - t0
         assert result.status == "success", (seed, result.failures)
         assert result.certificate is not None and result.certificate.clear
+        # the per-piece verdicts agree with a check of the whole trajectory
+        assert continuous_check(result.trajectory, shape, grid).clear, seed
         has_se2 = any(kind in ("SE2", "R2-reoptimized")
                       for kinds in result.survivor_provenance for kind in kinds)
         assert has_se2, (seed, result.survivor_provenance)

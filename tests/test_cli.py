@@ -145,6 +145,16 @@ def test_config_validation_errors(tmp_path):
                    "goal = 1 1 0\n[planner]\nweights = 3\n")
     with pytest.raises(ConfigError, match="unknown planner key 'weights'"):
         load_run_config(cfg)
+    # out-of-range limits are configuration errors, not internal ones
+    for section, key, bad in (("weights", "v_max", "0"), ("weights", "w_max", "-1"),
+                              ("weights", "v_max", "nan"),
+                              ("planner", "connection_radius", "0"),
+                              ("planner", "connection_radius", "-1"),
+                              ("planner", "connection_radius", "nan")):
+        cfg.write_text("[files]\nmap = m\nshape = s\n[query]\nstart = 0 0 0\n"
+                       f"goal = 1 1 0\n[{section}]\n{key} = {bad}\n")
+        with pytest.raises(ConfigError, match=f"{key} must be > 0"):
+            load_run_config(cfg)
 
 
 def test_seed_override(tmp_path):

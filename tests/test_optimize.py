@@ -52,6 +52,12 @@ def test_weights_validation():
         Weights(lam_s=-1.0)
     with pytest.raises(ValueError):
         Weights(mu=0.0)
+    # a limit of 0 used to fail inside the solver, a negative one planned as
+    # its absolute value, and NaN compares false to everything
+    for name in ("v_max", "w_max"):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be > 0"):
+                Weights(**{name: bad})
 
 
 def test_lbfgs_quadratic():

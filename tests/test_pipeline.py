@@ -3,8 +3,8 @@ import pytest
 
 import se2plan.pipeline
 from se2plan.minco import construct
-from se2plan.optimize import OptOutcome, Weights
-from se2plan.pipeline import PlanConfig, SpliceError, _kind_lengths, _repair, plan, splice
+from se2plan.optimize import OptOutcome
+from se2plan.pipeline import PlanConfig, SpliceError, _kind_lengths, plan, splice
 from se2plan.sequence import SubProblem
 from se2plan.shape import rectangle
 from se2plan.sweep import CollisionReport
@@ -129,6 +129,25 @@ def test_splice_junction_mismatch_raises():
         splice([])
 
 
+def test_splice_shifts_whole_turns_of_yaw_only():
+    # each sub unwraps its own yaw, so the next piece may start whole turns
+    # away from where the previous one ended; a turn does not move the body
+    a = single_piece([0, 0, 0.3], [1, 0, 0.5])
+    for turns in (1, -2):
+        shift = 2 * np.pi * turns
+        b = single_piece([1, 0, 0.5 + shift], [2, 0, 0.2 + shift], T=2.0)
+        out = splice([a, b])
+        assert np.array_equal(out.coeffs[0], a.coeffs[0])
+        assert np.allclose(out.coeffs[1, 0], b.coeffs[0, 0] - [0, 0, shift], atol=1e-12)
+        assert np.array_equal(out.coeffs[1, 1:], b.coeffs[0, 1:])
+        assert np.allclose(out.eval(1.0, 0), [1, 0, 0.5], atol=1e-12)
+        assert np.allclose(out.eval(3.0, 0), [2, 0, 0.2], atol=1e-12)
+    # a mismatch that is not a whole turn is not aligned away
+    b = single_piece([1, 0, 1.0], [2, 0, 0.2])
+    with pytest.raises(SpliceError):
+        splice([a, b])
+
+
 def test_splice_dimension_mismatch_raises():
     a = single_piece([0, 0, 0], [1, 0, 0])
     start = np.zeros((3, 2))
@@ -161,45 +180,68 @@ def test_kind_lengths_count_reoptimized_as_se2():
 
 @pytest.fixture
 def three_subs(monkeypatch):
-    """Straight rest-to-rest R2, SE2, R2 subs of 1 s each, and a stand-in for
-    se2_optimize that records its sub and returns a 2 s solve of it."""
-    trajs = [single_piece([0, 0, 0], [1, 0, 0]), single_piece([1, 0, 0], [2, 0, 0]),
-             single_piece([2, 0, 0], [3, 0, 0])]
+    """plan() on an empty map with its candidate split into straight
+    rest-to-rest R2, SE2, R2 subs of 1 s each.  The R^2 solve of the last sub
+    collides; every call to continuous_check and se2_optimize is recorded, and
+    se2_optimize returns a 2 s solve, collision-free for the SE2 sub and with
+    the verdict in `resolve_clear` for a re-solved R2 sub."""
     subs = [SubProblem(kind, (), i) for i, kind in enumerate(["R2", "SE2", "R2"])]
-    solved = []
+    calls = {"se2": [], "checked": [], "resolve_clear": True}
+    r2_out = {}
+
+    def piece(k, T):
+        return single_piece([0.5 + 0.5 * k, 1.5, 0], [1.0 + 0.5 * k, 1.5, 0], T=T)
+
+    def fake_r2_optimize(sub, *args, **kwargs):
+        r2_out[sub.start_index] = piece(sub.start_index, 1.0)
+        return OptOutcome(r2_out[sub.start_index], True, {}, 0)
 
     def fake_se2_optimize(sub, *args, **kwargs):
-        solved.append(sub)
-        k = subs.index(sub)
-        traj = single_piece([k, 0, 0], [k + 1, 0, 0], T=2.0)
-        return OptOutcome(traj, True, {}, 0, collision_free=True)
+        calls["se2"].append(sub)
+        return OptOutcome(piece(sub.start_index, 2.0), True, {}, 0,
+                          collision_free=sub.kind == "SE2" or calls["resolve_clear"])
 
+    def fake_continuous_check(traj, *args, **kwargs):
+        calls["checked"].append(traj)
+        if traj is r2_out.get(2):
+            return CollisionReport("colliding", (((0.4, 0.6), np.zeros(2), 0.01),))
+        return CollisionReport("clear")
+
+    monkeypatch.setattr(se2plan.pipeline, "extract_subproblems", lambda *a, **k: subs)
+    monkeypatch.setattr(se2plan.pipeline, "r2_optimize", fake_r2_optimize)
     monkeypatch.setattr(se2plan.pipeline, "se2_optimize", fake_se2_optimize)
-    return subs, trajs, solved
+    monkeypatch.setattr(se2plan.pipeline, "continuous_check", fake_continuous_check)
+
+    def run():
+        return plan(empty_grid(30), rectangle(0.4, 0.2), (0.5, 1.5, 0.0), (2.0, 1.5, 0.0),
+                    FAST)
+    return subs, calls, r2_out, run
 
 
-def _one_hit(t_lo, t_hi):
-    return CollisionReport("colliding", (((t_lo, t_hi), np.zeros(2), 0.01),))
+def test_only_the_r2_piece_that_fails_its_own_check_is_resolved(three_subs):
+    subs, calls, r2_out, run = three_subs
+    result = run()
+    assert result.status == "success", result.failures
+    assert calls["se2"] == [subs[1], subs[2]]  # the SE2 window, then the re-solve
+    assert result.provenance == ["R2", "SE2", "R2-reoptimized"]
+    assert result.piece_counts == [1, 1, 1]
+    assert result.trajectory.total_duration == pytest.approx(1.0 + 2.0 + 2.0)
+    assert result.certificate.clear
 
 
-def test_repair_resolves_only_the_sub_a_hit_falls_in(three_subs):
-    subs, trajs, solved = three_subs
-    kinds = [s.kind for s in subs]
-    spliced, new_trajs, new_kinds, err = _repair(subs, trajs, kinds, _one_hit(2.4, 2.6),
-                                                 Weights(), None, None, FAST)
-    assert err is None
-    assert solved == [subs[2]]
-    assert new_kinds == ["R2", "SE2", "R2-reoptimized"]
-    assert kinds == ["R2", "SE2", "R2"]  # the caller's record is not mutated
-    assert new_trajs[0] is trajs[0] and new_trajs[1] is trajs[1]
-    assert new_trajs[2].total_duration == pytest.approx(2.0)
-    assert spliced.total_duration == pytest.approx(4.0)
+def test_a_failed_r2_resolve_discards_the_candidate(three_subs):
+    subs, calls, r2_out, run = three_subs
+    calls["resolve_clear"] = False
+    result = run()
+    assert result.status == "all-candidates-failed"
+    assert result.failures == ["candidate 0: R2 piece re-optimization failed"]
+    assert calls["se2"] == [subs[1], subs[2]]
 
 
-def test_repair_fails_a_hit_inside_the_se2_span(three_subs):
-    subs, trajs, solved = three_subs
-    spliced, _, _, err = _repair(subs, trajs, [s.kind for s in subs], _one_hit(1.4, 1.6),
-                                 Weights(), None, None, FAST)
-    assert err == "SE2-originated piece unsafe after splice"
-    assert spliced is None
-    assert solved == []
+def test_the_pipeline_checks_only_r2_pieces(three_subs):
+    subs, calls, r2_out, run = three_subs
+    run()
+    # each R^2 solve is checked once; the SE(2) solves (the window and the
+    # re-solve) keep the verdict their own solve returns
+    assert len(calls["checked"]) == 2
+    assert calls["checked"][0] is r2_out[0] and calls["checked"][1] is r2_out[2]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,26 @@ def test_continuous_check_places_the_reference_point():
     assert not report.clear
     (_, witness, depth), = report.hits
     assert np.allclose(witness, [0.65, 2.05]) and depth == pytest.approx(0.1, abs=1e-9)
+
+
+def test_continuous_check_memory_is_bounded_by_blocks():
+    # a 5 m corridor between two walls: about 380 coarse samples x 120 wall
+    # points; evaluated as one (samples, points) batch the per-edge
+    # intermediates of a 12-gon took over 40 MiB
+    cells = np.zeros((60, 60), dtype=bool)
+    cells[25, :] = cells[35, :] = True
+    grid = grid_from_cells(cells)
+    traj = straight_se2_trajectory((0.5, 3.05), (5.5, 3.05), T=5.0)
+    disc = regular_polygon(12, 0.12)
+    continuous_check(traj, disc, grid)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        report = continuous_check(traj, disc, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.clear
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_swept_boundary_samples(unit_square):
