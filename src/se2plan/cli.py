@@ -51,9 +51,12 @@ def _parse_pose(text: str, label: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError(f"{label} must be 'x y yaw', got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        pose = np.array([float(p) for p in parts])
     except ValueError as e:
         raise ConfigError(f"bad {label} pose: {text!r}") from e
+    if not np.all(np.isfinite(pose)):
+        raise ConfigError(f"{label} pose must be finite, got {text!r}")
+    return pose
 
 
 def _typed_section(section, cls, label: str):

@@ -33,11 +33,15 @@ class OccupancyGrid:
     _occupied_centers: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise MalformedMapError(f"resolution must be positive, got {self.resolution}")
+        # written as `not ...` so that NaN fails too
+        if not 0 < self.resolution < np.inf:
+            raise MalformedMapError(f"resolution must be positive and finite, got {self.resolution}")
         if self.cells.ndim != 2 or self.cells.shape[0] < 1 or self.cells.shape[1] < 1:
             raise MalformedMapError(f"grid must be 2D and non-empty, got shape {self.cells.shape}")
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
+        origin = np.asarray(self.origin, dtype=float)
+        if not np.all(np.isfinite(origin)):
+            raise MalformedMapError(f"origin must be finite, got {self.origin}")
+        object.__setattr__(self, "origin", origin)
         cells = np.asarray(self.cells, dtype=bool)
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
@@ -114,8 +118,6 @@ def load_map(text: str) -> OccupancyGrid:
             raster.append(line.strip())
     if resolution is None:
         raise MalformedMapError("missing 'resolution:' header")
-    if resolution <= 0:
-        raise MalformedMapError(f"resolution must be positive, got {resolution}")
     if origin is None:
         origin = np.zeros(2)
     if not raster:

@@ -89,15 +89,10 @@ class Trajectory:
     def start_times(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum(self.durations)[:-1]])
 
-    def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """Evaluate the trajectory (or a time derivative) at global time t."""
-        total = self.total_duration
-        if t < -1e-12 or t > total + 1e-12:
-            raise ValueError(f"t={t} outside [0, {total}]")
-        return self.eval_many([t], order)[0]
-
     def eval_many(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
-        """Vectorized evaluation at sorted or unsorted times, shape (len(ts), m)."""
+        """The trajectory (or its time derivative of the given order) at global
+        times ts, sorted or not, shape (len(ts), m); times outside
+        [0, total_duration] are clamped to it."""
         ts = np.asarray(ts, dtype=float)
         total = self.total_duration
         tc = np.clip(ts, 0.0, total)
@@ -229,12 +224,6 @@ class MincoSpline:
         self._rhs = np.zeros((n, self.dim))
         self._rhs[:3] = start_state
         self._rhs[n - 3 :] = end_state
-
-    @property
-    def trajectory(self) -> Trajectory:
-        if self._traj is None:
-            raise RuntimeError("set_params() has not been called")
-        return self._traj
 
     def set_params(self, waypoints: np.ndarray, durations: np.ndarray) -> Trajectory:
         m = self.n_pieces

@@ -11,7 +11,7 @@ spline coefficients and durations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -70,20 +70,24 @@ class Weights:
     w_max: float = 1.5
 
     def __post_init__(self):
+        # written as `not ...` so that NaN fails too
         for name in ("lam_m", "lam_t", "lam_s", "lam_d", "lam_p", "lam_r", "d_safe"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        # written as `not x > 0` so that NaN fails too
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         for name in ("mu", "v_max", "w_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
 
 
 @dataclass
 class OptOutcome:
+    """A sub-problem's solved trajectory, whether the last solver stage
+    converged, the iterations over all stages, and (SE(2) solves only) the
+    verdict of the zero-margin continuous check of the trajectory.  The cost
+    terms are not kept: se2_cost or r2_cost of the trajectory gives them."""
+
     trajectory: Trajectory
     converged: bool
-    terms: dict
     iterations: int
     collision_free: bool | None = None
 
@@ -379,7 +383,7 @@ def _run_solver(spline: MincoSpline, waypoints0, durations0, stages, budget: int
     `accept` predicate is given, later stages (typically with escalated
     penalty weights) run only while it rejects the current trajectory, and
     its verdict on the returned trajectory is returned (None without one).
-    Reported terms always come from the first stage's cost."""
+    Returns (trajectory, iterations, converged, verdict)."""
     m = spline.n_pieces
     dim = spline.dim
     nq = (m - 1) * dim
@@ -414,8 +418,7 @@ def _run_solver(spline: MincoSpline, waypoints0, durations0, stages, budget: int
             accepted = accept(traj)
             if accepted:
                 break
-    _, terms, _, _ = stages[0](traj)
-    return traj, terms, iters, converged, accepted
+    return traj, iters, converged, accepted
 
 
 def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
@@ -446,11 +449,11 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
         stages.append(make_stage(replace(weights, lam_s=weights.lam_s * boost)))
 
     def accept(traj):
-        return continuous_check(traj, shape, grid, margin=0.0).clear
+        return continuous_check(traj, shape, grid).clear
 
-    traj, terms, iters, converged, clear = _run_solver(spline, wps, durs, stages, budget,
-                                                       accept=accept)
-    return OptOutcome(traj, converged, terms, iters, collision_free=clear)
+    traj, iters, converged, clear = _run_solver(spline, wps, durs, stages, budget,
+                                                accept=accept)
+    return OptOutcome(traj, converged, iters, collision_free=clear)
 
 
 def r2_optimize(sub, weights: Weights, budget: int) -> OptOutcome:
@@ -467,5 +470,5 @@ def r2_optimize(sub, weights: Weights, budget: int) -> OptOutcome:
     def cost_fn(traj):
         return r2_cost(traj, weights, positions, yaws, fractions)
 
-    traj, terms, iters, converged, _ = _run_solver(spline, wps, durs, [cost_fn], budget)
-    return OptOutcome(traj, converged, terms, iters, collision_free=None)
+    traj, iters, converged, _ = _run_solver(spline, wps, durs, [cost_fn], budget)
+    return OptOutcome(traj, converged, iters)

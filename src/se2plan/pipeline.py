@@ -179,12 +179,11 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         return finish(t_refine=clock() - t0)
     taut = [simplify_path(p, inflated) for p in raw_paths]
     candidates = dedup_paths(taut, inflated, config.max_candidates)
-    sequences = []
+    sequences = []  # (candidate index, sequence)
     for i, cand in enumerate(candidates):
         try:
-            waypoints = shortcut(cand, shape, grid, inflated=inflated)
-            seq = generate_sequence(waypoints, shape, kernel, grid, source_path_id=i)
-            sequences.append(seq)
+            waypoints = shortcut(cand, shape, grid, inflated)
+            sequences.append((i, generate_sequence(waypoints, shape, kernel, grid)))
         except ValueError as e:
             result.failures.append(f"candidate {i}: front-end failure: {e}")
     t_refine = clock() - t0
@@ -193,19 +192,6 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     time_r2 = 0.0
     time_certify = 0.0
     survivors = []
-    occupied = grid.occupied_centers()
-
-    def good_junction(state):
-        # kernel checks are optimistic by up to half a cell; a slice boundary
-        # frozen inside a wall would make its SE(2) slice unsolvable
-        if occupied.shape[0] == 0:
-            return True
-        d = occupied - state.position
-        near = occupied[np.einsum("ij,ij->i", d, d) < (shape.circumradius + weights.d_safe) ** 2]
-        if near.shape[0] == 0:
-            return True
-        values, _ = shape.sdf_at_pose(near, state.position, state.yaw)
-        return float(np.min(values)) >= weights.d_safe
 
     def solve(sub, in_se2):
         nonlocal time_r2, time_se2
@@ -220,9 +206,9 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
             else:
                 time_r2 += clock() - t1
 
-    for seq in sequences:
+    for cand_id, seq in sequences:
         # subs come in sequence order; kinds and trajs are indexed like them
-        subs = extract_subproblems(seq, good_junction=good_junction)
+        subs = extract_subproblems(seq, shape, grid, weights.d_safe)
         kinds = [sub.kind for sub in subs]
         trajs = [None] * len(subs)
         failed = None
@@ -234,7 +220,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
                 out = solve(sub, sub.kind == "SE2")
                 if sub.kind == "R2":
                     t1 = clock()
-                    clear = continuous_check(out.trajectory, shape, grid, margin=0.0).clear
+                    clear = continuous_check(out.trajectory, shape, grid).clear
                     time_certify += clock() - t1
                     if not clear:
                         kinds[i] = "R2-reoptimized"
@@ -248,15 +234,15 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
                 break
             trajs[i] = out.trajectory
         if failed:
-            result.failures.append(f"candidate {seq.source_path_id}: {failed}")
+            result.failures.append(f"candidate {cand_id}: {failed}")
             continue
         try:
             spliced = splice(trajs)
         except SpliceError as e:
-            result.failures.append(f"candidate {seq.source_path_id}: splice failure: {e}")
+            result.failures.append(f"candidate {cand_id}: splice failure: {e}")
             continue
         effort = minco.control_effort(spliced)
-        survivors.append((effort, seq.source_path_id, spliced, kinds, trajs))
+        survivors.append((effort, cand_id, spliced, kinds, trajs))
 
     if not survivors:
         result.status = "all-candidates-failed" if sequences else "no-path"

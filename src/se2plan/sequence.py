@@ -20,6 +20,8 @@ HIGH_RISK = "HighRisk"
 # orientation indices searched on each side of the preferred one (capped at
 # half the kernel's orientation bank)
 _SEARCH_RANGE = 4
+# low-risk context states added on each side of a high-risk run
+_PAD = 5
 
 
 @dataclass(frozen=True)
@@ -35,11 +37,6 @@ class MotionState:
 @dataclass(frozen=True)
 class MotionSequence:
     states: tuple  # of MotionState
-    source_path_id: int = 0
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([s.position for s in self.states])
 
     @property
     def risks(self) -> list[str]:
@@ -50,7 +47,6 @@ class MotionSequence:
 class SubProblem:
     kind: str  # "SE2" | "R2"
     states: tuple  # contiguous MotionState slice
-    start_index: int  # index of states[0] in the source sequence
 
 
 def safe_yaw(p, preferred_k: int, kernel: RobotKernel, grid: OccupancyGrid) -> list[int]:
@@ -110,7 +106,7 @@ def seg_adjust(seg_start, seg_end, shape: RobotShape, kernel: RobotKernel,
         return None
     k0 = _tangent_index(kernel, pts, bad)
     yaw0 = kernel.yaw_of(k0)
-    new_pos, _, safe, _ = push_away(shape, pts[bad], yaw0, grid)
+    new_pos, _, safe = push_away(shape, pts[bad], yaw0, grid)
     if not safe:
         return None
     if (np.linalg.norm(new_pos - seg_start) < 1e-9
@@ -126,7 +122,7 @@ def seg_adjust(seg_start, seg_end, shape: RobotShape, kernel: RobotKernel,
 
 
 def generate_sequence(path: np.ndarray, shape: RobotShape, kernel: RobotKernel,
-                      grid: OccupancyGrid, source_path_id: int = 0) -> MotionSequence:
+                      grid: OccupancyGrid) -> MotionSequence:
     """Convert a waypoint polyline ((K, 2) positions) to a dense risk-labeled
     sequence; the kernel picks every heading.
 
@@ -157,30 +153,38 @@ def generate_sequence(path: np.ndarray, shape: RobotShape, kernel: RobotKernel,
             if adjusted is not None:
                 seg = label(adjusted, first)
         states.extend(seg)
-    return MotionSequence(tuple(states), source_path_id)
+    return MotionSequence(tuple(states))
 
 
-def extract_subproblems(seq: MotionSequence, pad: int = 5,
-                        good_junction=None) -> list[SubProblem]:
-    """Partition the sequence into SE2 slices (high-risk runs dilated by `pad`
+def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyGrid,
+                        d_safe: float) -> list[SubProblem]:
+    """Partition the sequence into SE2 slices (high-risk runs dilated by _PAD
     low-risk context states on each side) and R2 slices for the gaps.
     Adjacent slices share exactly their junction state.
 
-    `good_junction(state) -> bool`, when given, vetoes slice boundaries: the
-    dilation keeps extending past states that fail it (kernel checks are
-    optimistic by up to half a cell, and a junction pose frozen inside a wall
-    makes its SE(2) slice unsolvable)."""
+    A slice boundary must clear every occupied cell centre by d_safe (exact
+    body SDF at the state's pose): the dilation keeps extending past states
+    that do not (kernel checks are optimistic by up to half a cell, and a
+    junction pose frozen inside a wall makes its SE(2) slice unsolvable)."""
     if not seq.states:
         raise ValueError("sequence is empty")
     n = len(seq.states)
     risky = np.array([s.risk == HIGH_RISK for s in seq.states])
     if not np.any(risky):
-        return [SubProblem("R2", tuple(seq.states), 0)]
+        return [SubProblem("R2", tuple(seq.states))]
+    occupied = grid.occupied_centers()
+    reach2 = (shape.circumradius + d_safe) ** 2
+
+    def good_junction(state):
+        d = occupied - state.position
+        near = occupied[np.einsum("ij,ij->i", d, d) < reach2]
+        if near.shape[0] == 0:
+            return True
+        values, _ = shape.sdf_at_pose(near, state.position, state.yaw)
+        return float(np.min(values)) >= d_safe
 
     def extend(idx, step):
-        while 0 < idx < n - 1 and (risky[idx] or
-                                   (good_junction is not None
-                                    and not good_junction(seq.states[idx]))):
+        while 0 < idx < n - 1 and (risky[idx] or not good_junction(seq.states[idx])):
             idx += step
         return idx
 
@@ -192,8 +196,8 @@ def extract_subproblems(seq: MotionSequence, pad: int = 5,
             j = i
             while j + 1 < n and risky[j + 1]:
                 j += 1
-            intervals.append([extend(max(i - pad, 0), -1),
-                              extend(min(j + pad, n - 1), +1)])
+            intervals.append([extend(max(i - _PAD, 0), -1),
+                              extend(min(j + _PAD, n - 1), +1)])
             i = j + 1
         else:
             i += 1
@@ -207,9 +211,9 @@ def extract_subproblems(seq: MotionSequence, pad: int = 5,
     cursor = 0
     for lo, hi in merged:
         if lo > cursor:
-            subs.append(SubProblem("R2", tuple(seq.states[cursor : lo + 1]), cursor))
-        subs.append(SubProblem("SE2", tuple(seq.states[lo : hi + 1]), lo))
+            subs.append(SubProblem("R2", tuple(seq.states[cursor : lo + 1])))
+        subs.append(SubProblem("SE2", tuple(seq.states[lo : hi + 1])))
         cursor = hi
     if cursor < n - 1:
-        subs.append(SubProblem("R2", tuple(seq.states[cursor:]), cursor))
+        subs.append(SubProblem("R2", tuple(seq.states[cursor:])))
     return subs

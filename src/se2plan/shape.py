@@ -107,6 +107,9 @@ class RobotShape:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
             raise GeometryError("polygon needs at least 3 (x, y) vertices")
+        ref = np.asarray(self.reference, dtype=float)
+        if not (np.all(np.isfinite(verts)) and np.all(np.isfinite(ref))):
+            raise GeometryError("vertices and reference must be finite")
         a, b = _segments(verts)
         n = verts.shape[0]
         for i in range(n):
@@ -115,7 +118,6 @@ class RobotShape:
                     continue
                 if _edges_intersect(a[i], b[i], a[j], b[j]):
                     raise GeometryError("polygon is self-intersecting")
-        ref = np.asarray(self.reference, dtype=float)
         if polygon_sdf(verts, ref) >= 0:
             raise GeometryError("reference point must lie strictly inside the polygon")
         verts.flags.writeable = False
@@ -128,15 +130,6 @@ class RobotShape:
         """Max distance from the reference point to any vertex."""
         return float(np.max(np.linalg.norm(self.vertices - self.reference, axis=1)))
 
-    def sdf(self, q):
-        """Signed distance (meters) to the boundary from point(s) q given in the
-        body frame relative to the reference point, the point a pose places."""
-        return polygon_sdf(self.vertices, np.asarray(q, dtype=float) + self.reference)
-
-    def sdf_gradient(self, q):
-        """sdf(q) and its gradient with respect to q."""
-        return polygon_sdf_gradient(self.vertices, np.asarray(q, dtype=float) + self.reference)
-
     def sdf_at_pose(self, points, position, yaw):
         """Signed distance from world points to the body at a pose (reference
         point at `position`, body turned by `yaw`) and its pose gradient.
@@ -148,7 +141,8 @@ class RobotShape:
         d = np.asarray(points, dtype=float) - np.asarray(position, dtype=float)
         dx, dy = d[..., 0], d[..., 1]
         c, s = np.cos(yaw), np.sin(yaw)
-        value, g = self.sdf_gradient(np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1))
+        body = np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1) + self.reference
+        value, g = polygon_sdf_gradient(self.vertices, body)
         gx, gy = g[..., 0], g[..., 1]
         # d body / d yaw = R(yaw)^T S d, S the 90 degree rotation: u = (dy, -dx)
         ux, uy = dy, -dx

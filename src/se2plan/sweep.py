@@ -140,18 +140,17 @@ def _golden_refine_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray
     return t, f(t)
 
 
-def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid,
-                     margin: float = 0.0) -> CollisionReport:
-    """Certify the whole trajectory against all occupied cells near its sweep.
+def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid) -> CollisionReport:
+    """Certify the whole trajectory against all occupied cells near its sweep,
+    at zero margin.
 
-    Reports every obstacle point whose swept SDF is below margin, grouped into
-    time intervals by arg-min adjacency.
+    Reports every obstacle point whose swept SDF is negative (inside the
+    swept body), grouped into time intervals by arg-min adjacency; a hit's
+    depth is that SDF's magnitude.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
     ts = np.linspace(0.0, traj.total_duration, 256)
     pos = traj.eval_many(ts, order=0)[:, :2]
-    pad = shape.circumradius + margin + grid.resolution
+    pad = shape.circumradius + grid.resolution
     lo = pos.min(axis=0) - pad
     hi = pos.max(axis=0) + pad
     center = (lo + hi) / 2
@@ -161,8 +160,8 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid,
         return CollisionReport("clear")
     spacing = grid.resolution / 2  # SDF spacing target: half a map cell
     lip = _lipschitz_bound(traj, shape)
-    vals, t_stars = _swept_sdf(traj, shape, points, spacing, margin, lip)
-    bad = np.nonzero(vals < margin - 1e-12)[0]
+    vals, t_stars = _swept_sdf(traj, shape, points, spacing, 0.0, lip)
+    bad = np.nonzero(vals < -1e-12)[0]
     if bad.size == 0:
         return CollisionReport("clear")
     dt_group = 2 * spacing / (2 * max(lip, 1e-9))
@@ -173,17 +172,17 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid,
         if t_stars[idx] - t_stars[group[-1]] < dt_group:
             group.append(idx)
         else:
-            hits.append(_make_hit(group, t_stars, vals, points, margin))
+            hits.append(_make_hit(group, t_stars, vals, points))
             group = [idx]
-    hits.append(_make_hit(group, t_stars, vals, points, margin))
+    hits.append(_make_hit(group, t_stars, vals, points))
     return CollisionReport("colliding", tuple(hits))
 
 
-def _make_hit(group, t_stars, vals, points, margin):
+def _make_hit(group, t_stars, vals, points):
     g = np.array(group)
     worst = g[int(np.argmin(vals[g]))]
     interval = (float(np.min(t_stars[g])), float(np.max(t_stars[g])))
-    return (interval, points[worst].copy(), float(margin - vals[worst]))
+    return (interval, points[worst].copy(), float(-vals[worst]))
 
 
 def swept_boundary_samples(traj: Trajectory, shape: RobotShape, n: int) -> list[np.ndarray]:

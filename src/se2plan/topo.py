@@ -21,6 +21,8 @@ _AVOID_FACTOR = 10.0
 # yaw tried on each side of the current one by push_away: a quarter of the
 # 18-orientation kernel step
 _YAW_TWEAK = (2 * np.pi / 18) / 4
+# push_away's translation steps before it gives up
+_PUSH_ATTEMPTS = 20
 
 
 class InfeasibleEndpointError(ValueError):
@@ -47,9 +49,10 @@ class Roadmap:
     adjacency: list  # adjacency[i] = sorted list of neighbor indices
 
 
-def build_roadmap(inflated: OccupancyGrid, start, goal, budget: int,
-                  rng=None, connection_radius: float | None = None) -> Roadmap:
-    """Uniform free-space PRM with visibility edges within a radius.
+def build_roadmap(inflated: OccupancyGrid, start, goal, budget: int, rng,
+                  connection_radius: float | None = None) -> Roadmap:
+    """Uniform free-space PRM with visibility edges within a radius (default:
+    a quarter of the map diagonal), sampled from the numpy Generator `rng`.
 
     Node 0 is the start, node 1 the goal; both must be free in the inflated
     grid.
@@ -59,8 +62,6 @@ def build_roadmap(inflated: OccupancyGrid, start, goal, budget: int,
     for name, p in (("start", start), ("goal", goal)):
         if not inflated.in_bounds(p) or inflated.is_occupied(p):
             raise InfeasibleEndpointError(f"{name} point {p} is occupied in the inflated grid")
-    if rng is None:
-        rng = np.random.default_rng(0)
     if connection_radius is None:
         connection_radius = 0.25 * inflated.diagonal
     lo = inflated.origin
@@ -128,24 +129,17 @@ def extract_paths(roadmap: Roadmap, max_paths: int) -> list[np.ndarray]:
     return paths
 
 
-def push_away(shape: RobotShape, position, yaw: float,
-              grid: OccupancyGrid, margin: float | None = None, max_attempts: int = 20):
+def push_away(shape: RobotShape, position, yaw: float, grid: OccupancyGrid):
     """Iteratively translate (and slightly rotate) a pose until every nearby
-    obstacle point clears the body SDF by `margin` (default: one map
-    resolution).
+    obstacle point clears the body SDF by one map cell (`grid.resolution`).
 
-    Each attempt sums the position gradients (RobotShape.sdf_at_pose) of all
-    violating obstacle points, weighted by their penetration (margin - value),
-    caps the translation at one map resolution, and tries a _YAW_TWEAK in
-    whichever direction raises the worst clearance.  Returns (position, yaw,
-    safe, attempts).
+    Each of up to _PUSH_ATTEMPTS attempts sums the position gradients
+    (RobotShape.sdf_at_pose) of all violating obstacle points, weighted by
+    their penetration (margin - value), caps the translation at one map
+    resolution, and tries a _YAW_TWEAK in whichever direction raises the
+    worst clearance.  Returns (position, yaw, safe).
     """
-    if margin is None:
-        margin = grid.resolution
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    margin = grid.resolution
     position = np.asarray(position, dtype=float).copy()
     yaw = float(yaw)
     half_extent = shape.circumradius + margin + grid.resolution
@@ -156,13 +150,13 @@ def push_away(shape: RobotShape, position, yaw: float,
             return np.inf
         return float(np.min(shape.sdf_at_pose(obs, pos, th)[0]))
 
-    for attempt in range(max_attempts + 1):
+    for attempt in range(_PUSH_ATTEMPTS + 1):
         obstacles = extract_obstacles(grid, position, half_extent)
         values, dval = shape.sdf_at_pose(obstacles, position, yaw)
         violating = values < margin
         if not np.any(violating):
-            return position, wrap_angle(yaw), True, attempt
-        if attempt == max_attempts:
+            return position, wrap_angle(yaw), True
+        if attempt == _PUSH_ATTEMPTS:
             break
         step = np.sum(dval[violating, :2] * (margin - values[violating])[:, None], axis=0)
         norm = np.linalg.norm(step)
@@ -176,7 +170,7 @@ def push_away(shape: RobotShape, position, yaw: float,
             yaw += _YAW_TWEAK
         elif minus > base:
             yaw -= _YAW_TWEAK
-    return position, wrap_angle(yaw), False, max_attempts
+    return position, wrap_angle(yaw), False
 
 
 def discretize_polyline(points: np.ndarray, step: float) -> np.ndarray:
@@ -195,13 +189,13 @@ def discretize_polyline(points: np.ndarray, step: float) -> np.ndarray:
 
 
 def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
-             inflated: OccupancyGrid | None = None) -> np.ndarray:
+             inflated: OccupancyGrid) -> np.ndarray:
     """Greedy geometry-aware path shortcut; returns the kept waypoint
     positions as a (K, 2) array, start and goal included.
 
     The input point path is uniformly discretized at grid resolution; each
-    discrete point is tested for visibility from the last kept waypoint (on
-    the inflated grid when given, since the topological path lives there).
+    discrete point is tested for visibility from the last kept waypoint on
+    the inflated grid, where the topological path lives.
     On blockage the last visible sample becomes a corner waypoint; the
     obstruction point is additionally seeded with a yaw interpolated from the
     last kept waypoint's and pushed away from the real occupancy, and the
@@ -210,7 +204,6 @@ def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
     positions leave this function: the motion sequence picks every heading.
     """
     path = np.asarray(path, dtype=float)
-    vis_grid = inflated if inflated is not None else grid
     dense = discretize_polyline(path, grid.resolution)
     kept = [dense[0]]
     yaw = wrap_angle(_heading(dense[0], dense[min(1, len(dense) - 1)]))  # of kept[-1]
@@ -219,7 +212,7 @@ def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
         back = kept[-1]
         if np.linalg.norm(p_d - back) < 1e-12:
             continue
-        p_c = visibility(vis_grid, back, p_d)
+        p_c = visibility(inflated, back, p_d)
         if p_c is None:
             last_visible = p_d
             continue
@@ -231,15 +224,15 @@ def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
             kept.append(last_visible)
             yaw = wrap_angle(seg_heading)
             back = last_visible
-        new_pos, new_yaw, safe, _ = push_away(shape, p_c, seed_yaw, grid)
+        new_pos, new_yaw, safe = push_away(shape, p_c, seed_yaw, grid)
         if (safe
                 and grid.in_bounds(new_pos)
                 and np.linalg.norm(new_pos - back) > 1e-12
-                and is_visible(vis_grid, back, new_pos)
-                and is_visible(vis_grid, new_pos, p_d)):
+                and is_visible(inflated, back, new_pos)
+                and is_visible(inflated, new_pos, p_d)):
             kept.append(new_pos)
             yaw = wrap_angle(new_yaw)
-        last_visible = p_d if is_visible(vis_grid, kept[-1], p_d) else kept[-1]
+        last_visible = p_d if is_visible(inflated, kept[-1], p_d) else kept[-1]
     if np.linalg.norm(dense[-1] - kept[-1]) > 1e-12:
         kept.append(dense[-1])
     if len(kept) < 2:

@@ -36,7 +36,7 @@ def dense_min_sdf(traj, shape, points, n_samples):
     d = points[None, :, :] - pos[:, None, :]
     body = np.stack([cs[:, None] * d[..., 0] + sn[:, None] * d[..., 1],
                      -sn[:, None] * d[..., 0] + cs[:, None] * d[..., 1]], axis=-1)
-    return float(np.min(shape.sdf(body)))
+    return float(np.min(polygon_sdf(shape.vertices, body + shape.reference)))
 
 
 def test_criterion_01_sdf_oracle_equivalence():
@@ -215,7 +215,8 @@ def test_criterion_05_kernel_convolution_oracle():
         ix, iy = grid.world_to_cell(p)
         anchor = grid.cell_center(ix, iy)
         body = (occ - anchor) @ rotation(kernel.yaw_of(k))
-        expected = bool(np.any(shape.sdf(body) < 0)) if occ.size else False
+        expected = (bool(np.any(polygon_sdf(shape.vertices, body + shape.reference) < 0))
+                    if occ.size else False)
         assert kernel_collides(kernel, grid, p, k) == expected
 
 

@@ -155,6 +155,14 @@ def test_config_validation_errors(tmp_path):
                        f"goal = 1 1 0\n[{section}]\n{key} = {bad}\n")
         with pytest.raises(ConfigError, match=f"{key} must be > 0"):
             load_run_config(cfg)
+    # non-finite numbers are configuration errors too, on a scene that plans
+    # at finite values
+    text = CFG_TEMPLATE.format(map_name="world.map")
+    for old, new in (("lam_t = 20.0", "d_safe = nan"),
+                     ("start = 0.5 0.5 0", "start = nan 0.5 0"),
+                     ("start = 0.5 0.5 0", "start = inf 0.5 0")):
+        cfg = write_scene(tmp_path, empty_grid(30), cfg_text=text.replace(old, new))
+        assert main(["plan", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
 def test_seed_override(tmp_path):

@@ -47,6 +47,10 @@ def test_load_map_errors():
         load_map("...\n...\n")  # missing resolution
     with pytest.raises(MalformedMapError):
         load_map("resolution: 0.1\n")  # no raster
+    # non-finite numbers fail here, not as an internal error inside a plan
+    for header in ("resolution: nan\n", "resolution: inf\n", "resolution: 0.1\norigin: nan 0\n"):
+        with pytest.raises(MalformedMapError):
+            load_map(header + "...\n")
 
 
 def test_dump_map_round_trip():

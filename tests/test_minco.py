@@ -20,7 +20,7 @@ def test_min_jerk_coefficients():
 
 def test_min_jerk_midpoint_symmetry():
     _, traj = rest_to_rest(T=2.0)
-    assert traj.eval(1.0, 0)[0] == pytest.approx(0.5, abs=1e-12)
+    assert traj.eval_many([1.0], 0)[0][0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_control_effort_closed_form():
@@ -46,9 +46,9 @@ def test_waypoint_interpolation_exact(rng):
     _, traj = construct(start, end, waypoints, durations)
     edges = np.cumsum(durations)[:-1]
     for t, wp in zip(edges, waypoints):
-        assert np.allclose(traj.eval(t, 0), wp, atol=1e-9)
-    assert np.allclose(traj.eval(0.0, 0), start[0], atol=1e-9)
-    assert np.allclose(traj.eval(traj.total_duration, 1), end[1], atol=1e-8)
+        assert np.allclose(traj.eval_many([t], 0)[0], wp, atol=1e-9)
+    assert np.allclose(traj.eval_many([0.0], 0)[0], start[0], atol=1e-9)
+    assert np.allclose(traj.eval_many([traj.total_duration], 1)[0], end[1], atol=1e-8)
 
 
 def test_junction_continuity_orders_0_to_4(rng):
@@ -72,8 +72,8 @@ def test_symmetric_two_piece_mirror():
     _, traj = construct(start, end, np.array([[0.5]]), [1.0, 1.0])
     # mirror symmetry: p(t) = 1 - p(2 - t)
     for t in np.linspace(0, 2, 21):
-        assert traj.eval(t, 0)[0] == pytest.approx(
-            1 - traj.eval(2 - t, 0)[0], abs=1e-9)
+        assert traj.eval_many([t], 0)[0][0] == pytest.approx(
+            1 - traj.eval_many([2 - t], 0)[0][0], abs=1e-9)
 
 
 def test_effort_is_minimal_among_interpolants(rng):
@@ -163,13 +163,10 @@ def test_single_piece_duration_gradient_closed_form():
     assert gt[0] == pytest.approx(-5 * 720 / T**6, rel=1e-9)
 
 
-def test_eval_domain_and_errors():
+def test_eval_many_clamps_to_the_timeline():
     _, traj = rest_to_rest(T=1.0)
-    with pytest.raises(ValueError):
-        traj.eval(1.5, 0)
-    with pytest.raises(ValueError):
-        traj.eval(-0.5, 0)
-    assert traj.eval(1.0, 6)[0] == pytest.approx(0.0)  # beyond degree -> zero
+    assert np.array_equal(traj.eval_many([1.5, -0.5], 0), traj.eval_many([1.0, 0.0], 0))
+    assert traj.eval_many([1.0], 6)[0, 0] == pytest.approx(0.0)  # beyond degree -> zero
 
 
 def test_construct_validation(rng):
@@ -188,7 +185,7 @@ def test_serialization_round_trip(rng):
     assert np.array_equal(again.coeffs, traj.coeffs)
 
 
-def test_eval_many_matches_eval(rng):
+def test_eval_many_matches_the_power_basis(rng):
     m = 3
     _, traj = construct(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
                         rng.standard_normal((m - 1, 2)), rng.uniform(0.5, 1.5, m))
@@ -196,7 +193,9 @@ def test_eval_many_matches_eval(rng):
     for order in (0, 1, 2):
         batch = traj.eval_many(ts, order)
         for t, row in zip(ts, batch):
-            assert np.allclose(row, traj.eval(t, order), atol=1e-12)
+            i = np.flatnonzero(traj.start_times <= t)[-1]  # the last piece starting by t
+            expected = _ref_basis(t - traj.start_times[i], order) @ traj.coeffs[i]
+            assert np.allclose(row, expected, atol=1e-12)
 
 
 def test_arc_length_straight_line():

@@ -58,6 +58,14 @@ def test_weights_validation():
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match=f"{name} must be > 0"):
                 Weights(**{name: bad})
+    # NaN and infinite values fail here, not inside the solver
+    for name in ("lam_m", "lam_t", "lam_s", "lam_d", "lam_p", "lam_r", "d_safe"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
+                Weights(**{name: bad})
+    for name in ("mu", "v_max", "w_max"):
+        with pytest.raises(ValueError, match=f"{name} must be > 0 and finite"):
+            Weights(**{name: float("inf")})
 
 
 def test_lbfgs_quadratic():
@@ -203,7 +211,7 @@ def make_sub(kind, positions, yaws=None, risks=None):
         risks = [HIGH_RISK if kind == "SE2" else LOW_RISK] * n
     states = tuple(MotionState(np.asarray(p, float), k, r)
                    for p, k, r in zip(positions, yaws, risks))
-    return SubProblem(kind, states, 0)
+    return SubProblem(kind, states)
 
 
 def test_r2_optimize_straight_line(slim_rect):
@@ -212,8 +220,8 @@ def test_r2_optimize_straight_line(slim_rect):
     out = r2_optimize(sub, Weights(), budget=100)
     assert out.converged
     assert out.collision_free is None
-    start = out.trajectory.eval(0.0, 0)
-    end = out.trajectory.eval(out.trajectory.total_duration, 0)
+    start = out.trajectory.eval_many([0.0], 0)[0]
+    end = out.trajectory.eval_many([out.trajectory.total_duration], 0)[0]
     assert np.allclose(start[:2], [0.3, 1.0], atol=1e-9)
     assert np.allclose(end[:2], [2.0, 1.0], atol=1e-9)
 
@@ -239,8 +247,8 @@ def test_se2_optimize_free_corridor_near_min_jerk(slim_rect):
     wps = out.trajectory.eval_many(edges, 0)
     start = np.zeros((3, 3))
     end = np.zeros((3, 3))
-    start[0] = out.trajectory.eval(0.0, 0)
-    end[0] = out.trajectory.eval(out.trajectory.total_duration, 0)
+    start[0] = out.trajectory.eval_many([0.0], 0)[0]
+    end[0] = out.trajectory.eval_many([out.trajectory.total_duration], 0)[0]
     _, free = construct(start, end, wps, durations)
     assert control_effort(out.trajectory) <= 1.1 * control_effort(free) + 1e-9
 

@@ -32,8 +32,8 @@ def test_plan_empty_map_single_r2():
     assert result.provenance == ["R2"]
     assert result.certificate is not None and result.certificate.clear
     assert result.trajectory is not None
-    p0 = result.trajectory.eval(0.0, 0)
-    p1 = result.trajectory.eval(result.trajectory.total_duration, 0)
+    p0 = result.trajectory.eval_many([0.0], 0)[0]
+    p1 = result.trajectory.eval_many([result.trajectory.total_duration], 0)[0]
     assert np.allclose(p0[:2], [0.5, 0.5], atol=1e-9)
     assert np.allclose(p1[:2], [2.5, 2.5], atol=1e-9)
 
@@ -116,8 +116,8 @@ def test_splice_three_pieces_durations_and_positions():
     out = splice([a, b, c])
     assert out.total_duration == pytest.approx(3.5)
     # junction positions preserved exactly
-    assert np.allclose(out.eval(1.0, 0), [1, 0, 0], atol=1e-8)
-    assert np.allclose(out.eval(3.0, 0), [1, 1, 0], atol=1e-8)
+    assert np.allclose(out.eval_many([1.0], 0)[0], [1, 0, 0], atol=1e-8)
+    assert np.allclose(out.eval_many([3.0], 0)[0], [1, 1, 0], atol=1e-8)
 
 
 def test_splice_junction_mismatch_raises():
@@ -140,8 +140,8 @@ def test_splice_shifts_whole_turns_of_yaw_only():
         assert np.array_equal(out.coeffs[0], a.coeffs[0])
         assert np.allclose(out.coeffs[1, 0], b.coeffs[0, 0] - [0, 0, shift], atol=1e-12)
         assert np.array_equal(out.coeffs[1, 1:], b.coeffs[0, 1:])
-        assert np.allclose(out.eval(1.0, 0), [1, 0, 0.5], atol=1e-12)
-        assert np.allclose(out.eval(3.0, 0), [2, 0, 0.2], atol=1e-12)
+        assert np.allclose(out.eval_many([1.0], 0)[0], [1, 0, 0.5], atol=1e-12)
+        assert np.allclose(out.eval_many([3.0], 0)[0], [2, 0, 0.2], atol=1e-12)
     # a mismatch that is not a whole turn is not aligned away
     b = single_piece([1, 0, 1.0], [2, 0, 0.2])
     with pytest.raises(SpliceError):
@@ -182,23 +182,27 @@ def test_kind_lengths_count_reoptimized_as_se2():
 def three_subs(monkeypatch):
     """plan() on an empty map with its candidate split into straight
     rest-to-rest R2, SE2, R2 subs of 1 s each.  The R^2 solve of the last sub
-    collides; every call to continuous_check and se2_optimize is recorded, and
-    se2_optimize returns a 2 s solve, collision-free for the SE2 sub and with
-    the verdict in `resolve_clear` for a re-solved R2 sub."""
-    subs = [SubProblem(kind, (), i) for i, kind in enumerate(["R2", "SE2", "R2"])]
+    collides; every call to continuous_check and the index of every sub passed
+    to se2_optimize are recorded, and se2_optimize returns a 2 s solve,
+    collision-free for the SE2 sub and with the verdict in `resolve_clear` for
+    a re-solved R2 sub."""
+    subs = [SubProblem(kind, ()) for kind in ["R2", "SE2", "R2"]]
     calls = {"se2": [], "checked": [], "resolve_clear": True}
     r2_out = {}
 
     def piece(k, T):
         return single_piece([0.5 + 0.5 * k, 1.5, 0], [1.0 + 0.5 * k, 1.5, 0], T=T)
 
+    def index(sub):
+        return next(k for k, s in enumerate(subs) if s is sub)
+
     def fake_r2_optimize(sub, *args, **kwargs):
-        r2_out[sub.start_index] = piece(sub.start_index, 1.0)
-        return OptOutcome(r2_out[sub.start_index], True, {}, 0)
+        r2_out[index(sub)] = piece(index(sub), 1.0)
+        return OptOutcome(r2_out[index(sub)], True, 0)
 
     def fake_se2_optimize(sub, *args, **kwargs):
-        calls["se2"].append(sub)
-        return OptOutcome(piece(sub.start_index, 2.0), True, {}, 0,
+        calls["se2"].append(index(sub))
+        return OptOutcome(piece(index(sub), 2.0), True, 0,
                           collision_free=sub.kind == "SE2" or calls["resolve_clear"])
 
     def fake_continuous_check(traj, *args, **kwargs):
@@ -222,7 +226,7 @@ def test_only_the_r2_piece_that_fails_its_own_check_is_resolved(three_subs):
     subs, calls, r2_out, run = three_subs
     result = run()
     assert result.status == "success", result.failures
-    assert calls["se2"] == [subs[1], subs[2]]  # the SE2 window, then the re-solve
+    assert calls["se2"] == [1, 2]  # the SE2 window, then the re-solve
     assert result.provenance == ["R2", "SE2", "R2-reoptimized"]
     assert result.piece_counts == [1, 1, 1]
     assert result.trajectory.total_duration == pytest.approx(1.0 + 2.0 + 2.0)
@@ -235,7 +239,7 @@ def test_a_failed_r2_resolve_discards_the_candidate(three_subs):
     result = run()
     assert result.status == "all-candidates-failed"
     assert result.failures == ["candidate 0: R2 piece re-optimization failed"]
-    assert calls["se2"] == [subs[1], subs[2]]
+    assert calls["se2"] == [1, 2]
 
 
 def test_the_pipeline_checks_only_r2_pieces(three_subs):

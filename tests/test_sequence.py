@@ -5,7 +5,7 @@ import se2plan.sequence
 from se2plan.sequence import (HIGH_RISK, LOW_RISK, MotionSequence, MotionState,
                               extract_subproblems, generate_sequence, safe_yaw,
                               seg_adjust)
-from se2plan.shape import build_kernel, kernel_collides
+from se2plan.shape import build_kernel, kernel_collides, rectangle
 
 from conftest import baffle_grid, empty_grid, grid_from_cells
 
@@ -101,7 +101,8 @@ def test_generate_sequence_open_map(slim_rect, kernel):
     assert np.allclose(seq.states[-1].position, [2.4, 1.5])
     assert all(s.risk == LOW_RISK for s in seq.states)
     assert all(s.yaw == 0.0 for s in seq.states[1:-1])
-    gaps = np.linalg.norm(np.diff(seq.positions, axis=0), axis=1)
+    positions = np.array([s.position for s in seq.states])
+    gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     assert np.all(gaps <= 2 * grid.resolution + 1e-9)
 
 
@@ -146,19 +147,38 @@ def test_generate_sequence_repairs_a_segment_once(slim_rect, kernel, monkeypatch
     assert len(top_level) == 1
 
 
+def row_states(risks):
+    """States 0.1 m apart along the centre row y = 0.55 of `row_grid`, on the
+    x centres of its cells, yaw 0."""
+    return tuple(MotionState((0.05 + 0.1 * i, 0.55), 0.0, r) for i, r in enumerate(risks))
+
+
+def row_grid(occupied=()):
+    """A 2.0 x 1.1 m map, free except for the given (ix, iy) cells."""
+    cells = np.zeros((11, 20), dtype=bool)
+    for ix, iy in occupied:
+        cells[iy, ix] = True
+    return grid_from_cells(cells)
+
+
+def split(states, grid=None, d_safe=0.02):
+    return extract_subproblems(MotionSequence(states), rectangle(0.1, 0.06),
+                               row_grid() if grid is None else grid, d_safe)
+
+
 def test_extract_subproblems_all_low():
-    states = tuple(MotionState((0.1 * i, 0.0), 0, LOW_RISK) for i in range(8))
-    subs = extract_subproblems(MotionSequence(states))
+    states = row_states([LOW_RISK] * 8)
+    subs = split(states)
     assert len(subs) == 1
     assert subs[0].kind == "R2" and len(subs[0].states) == 8
 
 
 def test_extract_subproblems_l5_h3_l5():
-    risks = [LOW_RISK] * 5 + [HIGH_RISK] * 3 + [LOW_RISK] * 5
-    states = tuple(MotionState((0.1 * i, 0.0), 0, r) for i, r in enumerate(risks))
-    subs = extract_subproblems(MotionSequence(states), pad=1)
+    risks = [LOW_RISK] * 8 + [HIGH_RISK] * 3 + [LOW_RISK] * 8
+    states = row_states(risks)
+    subs = split(states)
     assert [s.kind for s in subs] == ["R2", "SE2", "R2"]
-    assert len(subs[1].states) == 5  # H-run of 3 plus one pad state per side
+    assert len(subs[1].states) == 13  # H-run of 3 plus five pad states per side
     # adjacent sub-problems share exactly the junction state
     assert subs[0].states[-1] is subs[1].states[0]
     assert subs[1].states[-1] is subs[2].states[0]
@@ -168,27 +188,37 @@ def test_extract_subproblems_l5_h3_l5():
 
 
 def test_extract_subproblems_high_risk_head():
-    risks = [HIGH_RISK] * 2 + [LOW_RISK] * 6
-    states = tuple(MotionState((0.1 * i, 0.0), 0, r) for i, r in enumerate(risks))
-    subs = extract_subproblems(MotionSequence(states), pad=2)
-    assert subs[0].kind == "SE2"
-    assert subs[0].start_index == 0
+    risks = [HIGH_RISK] * 2 + [LOW_RISK] * 8
+    states = row_states(risks)
+    subs = split(states)
+    assert [s.kind for s in subs] == ["SE2", "R2"]
+    assert subs[0].states[0] is states[0] and len(subs[0].states) == 7
 
 
 def test_extract_subproblems_junction_veto():
-    risks = [LOW_RISK] * 5 + [HIGH_RISK] + [LOW_RISK] * 5
-    states = tuple(MotionState((0.1 * i, 0.0), 0, r) for i, r in enumerate(risks))
-    bad = {4, 6}  # indices a pad-1 dilation would pick as junctions
-
-    def good_junction(state):
-        return int(round(state.position[0] / 0.1)) not in bad
-
-    subs = extract_subproblems(MotionSequence(states), pad=1,
-                               good_junction=good_junction)
+    risks = [LOW_RISK] * 8 + [HIGH_RISK] + [LOW_RISK] * 8
+    states = row_states(risks)
+    # obstacles on the states a five-state dilation would pick as junctions
+    # (3 and 13): the body covers them, so the dilation extends one further
+    subs = split(states, row_grid(occupied=((3, 5), (13, 5))))
     se2 = next(s for s in subs if s.kind == "SE2")
-    assert se2.start_index == 3 and len(se2.states) == 5  # extended past vetoes
+    assert se2.states[0] is states[2] and len(se2.states) == 13
+    # without them the junctions are the dilation's own
+    se2 = next(s for s in split(states) if s.kind == "SE2")
+    assert se2.states[0] is states[3] and len(se2.states) == 11
+
+
+def test_extract_subproblems_junction_clears_by_d_safe():
+    states = row_states([LOW_RISK] * 8 + [HIGH_RISK] + [LOW_RISK] * 8)
+    # one cell beside state 3, the left junction: 0.07 m from the body there
+    # and 0.086 m from it at state 2
+    grid = row_grid(occupied=((3, 6),))
+    se2 = next(s for s in split(states, grid, d_safe=0.05) if s.kind == "SE2")
+    assert se2.states[0] is states[3]
+    se2 = next(s for s in split(states, grid, d_safe=0.1) if s.kind == "SE2")
+    assert se2.states[0] is states[1]
 
 
 def test_extract_subproblems_empty():
     with pytest.raises(ValueError):
-        extract_subproblems(MotionSequence(()))
+        split(())

@@ -3,8 +3,8 @@ import pytest
 
 from se2plan.gridmap import OccupancyGrid
 from se2plan.shape import (GeometryError, RobotShape, build_kernel, inscribed_radius,
-                           kernel_collides, parse_shape, polygon_sdf, rectangle,
-                           rotation)
+                           kernel_collides, parse_shape, polygon_sdf, polygon_sdf_gradient,
+                           rectangle, rotation)
 
 from conftest import grid_from_cells, random_simple_polygon
 
@@ -31,15 +31,18 @@ def brute_force_sdf(vertices, q):
 
 
 def test_square_sdf_values(unit_square):
-    assert unit_square.sdf((0.0, 0.0)) == pytest.approx(-0.5)
-    assert unit_square.sdf((1.0, 0.0)) == pytest.approx(0.5)
-    assert unit_square.sdf((0.5, 0.5)) == pytest.approx(0.0)  # corner on boundary
+    def sdf(q):  # the body at the origin pose
+        return unit_square.sdf_at_pose(np.asarray(q, dtype=float), np.zeros(2), 0.0)[0]
+
+    assert sdf((0.0, 0.0)) == pytest.approx(-0.5)
+    assert sdf((1.0, 0.0)) == pytest.approx(0.5)
+    assert sdf((0.5, 0.5)) == pytest.approx(0.0)  # corner on boundary
 
 
 def test_sdf_batched_shapes(unit_square):
     pts = np.zeros((4, 7, 2))
-    vals = unit_square.sdf(pts)
-    assert vals.shape == (4, 7)
+    vals, grads = unit_square.sdf_at_pose(pts, np.zeros(2), 0.0)
+    assert vals.shape == (4, 7) and grads.shape == (4, 7, 3)
     assert np.allclose(vals, -0.5)
 
 
@@ -98,6 +101,11 @@ def test_parse_shape():
     assert np.allclose(centroid.reference, [1 / 3, 1 / 3])
     with pytest.raises(GeometryError):
         parse_shape("vertex: 0 0\nnonsense line\n")
+    square = "vertex: 0 0\nvertex: 1 0\nvertex: 1 1\nvertex: 0 1\n"
+    for text in (square.replace("vertex: 1 0", "vertex: nan 0"),
+                 square + "reference: nan 0.5\n", square + "reference: 0.5 inf\n"):
+        with pytest.raises(GeometryError, match="must be finite"):
+            parse_shape(text)
 
 
 def test_sdf_gradient_on_boundary_is_outward_normal(unit_square):
@@ -105,7 +113,7 @@ def test_sdf_gradient_on_boundary_is_outward_normal(unit_square):
     normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     clockwise = RobotShape(unit_square.vertices[::-1].copy(), np.zeros(2))
     for shape in (unit_square, clockwise):
-        values, grads = shape.sdf_gradient(on_edges)
+        values, grads = polygon_sdf_gradient(shape.vertices, on_edges)
         assert np.all(values == 0.0)
         assert np.allclose(grads, normals, atol=1e-12)
 
@@ -247,7 +255,8 @@ def _assert_kernel_matches_sdf(shape, rng):
         ix, iy = grid.world_to_cell(p)
         anchor = grid.cell_center(ix, iy)
         body = (occ - anchor) @ rotation(kernel.yaw_of(k))
-        expected = bool(np.any(shape.sdf(body) < 0)) if occ.size else False
+        expected = (bool(np.any(polygon_sdf(shape.vertices, body + shape.reference) < 0))
+                    if occ.size else False)
         assert kernel_collides(kernel, grid, p, k) == expected
 
 
@@ -261,4 +270,4 @@ def test_kernel_matches_sdf_with_off_origin_reference(rng):
     bar = parse_shape("vertex: 0 0\nvertex: 1 0\nvertex: 1 0.2\nvertex: 0 0.2\n")
     assert np.allclose(bar.reference, [0.5, 0.1])
     _assert_kernel_matches_sdf(bar, rng)
-    assert bar.sdf(np.zeros(2)) == pytest.approx(-0.1, abs=1e-12)
+    assert polygon_sdf(bar.vertices, bar.reference) == pytest.approx(-0.1, abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from se2plan.minco import construct
 from se2plan.shape import (RobotShape, build_kernel, kernel_collides, parse_shape,
-                           rectangle, rotation)
+                           polygon_sdf, rectangle, rotation)
 from se2plan.sweep import continuous_check, swept_boundary_samples, swept_sdf_batch
 
 from conftest import grid_from_cells
@@ -14,8 +14,9 @@ from test_acceptance import dense_min_sdf
 
 def composed_at(traj, shape, x_obs, t):
     """Reference: body SDF of x_obs at the trajectory's pose at time t."""
-    x, y, yaw = traj.eval(t, 0)
-    return float(shape.sdf(rotation(yaw).T @ (np.asarray(x_obs, dtype=float) - [x, y])))
+    x, y, yaw = traj.eval_many([t], 0)[0]
+    body = rotation(yaw).T @ (np.asarray(x_obs, dtype=float) - [x, y])
+    return float(polygon_sdf(shape.vertices, body + shape.reference))
 
 
 def swept_value(traj, shape, x_obs, spacing_target):
@@ -153,11 +154,10 @@ def test_continuous_check_clear_with_clearance(slim_rect):
     cells[27, :] = True  # wall well above the motion
     grid = grid_from_cells(cells)
     traj = straight_se2_trajectory((0.7, 1.0), (2.3, 1.0))
-    margin = 0.1
-    report = continuous_check(traj, slim_rect, grid, margin=margin)
+    report = continuous_check(traj, slim_rect, grid)
     assert report.clear
-    with pytest.raises(ValueError):
-        continuous_check(traj, slim_rect, grid, margin=-0.1)
+    values, _ = swept_sdf_batch(traj, slim_rect, grid.occupied_centers(), grid.resolution / 2)
+    assert np.min(values) >= 0.1
 
 
 def test_continuous_check_places_the_reference_point():

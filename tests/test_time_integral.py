@@ -14,7 +14,7 @@ import se2plan.minco
 from se2plan.minco import NCOEF, _DERIV_FACT, basis_many, construct
 from se2plan.minco import control_effort, control_effort_gradients
 from se2plan.optimize import Weights, _dynamics_penalty, _safety_penalty, r2_cost, smoothing_grad
-from se2plan.shape import RobotShape, rectangle
+from se2plan.shape import RobotShape, polygon_sdf_gradient, rectangle
 
 REL = 1e-12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -93,7 +93,7 @@ def ref_safety_penalty(traj, weights, shape, obstacles, n_samples=16):
         d = obstacles[None, :, :] - pos[:, None, :]
         body = np.stack([cs[:, None] * d[:, :, 0] + sn[:, None] * d[:, :, 1],
                          -sn[:, None] * d[:, :, 0] + cs[:, None] * d[:, :, 1]], axis=-1)
-        val, g_body = shape.sdf_gradient(body)
+        val, g_body = polygon_sdf_gradient(shape.vertices, body + shape.reference)
         pen, dpen = smoothing_grad(weights.d_safe - val, weights.mu)
         value += float(ti / n_samples * np.sum(pen))
         scale = -dpen

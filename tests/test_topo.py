@@ -44,7 +44,7 @@ def test_build_roadmap_direct_connection():
 def test_build_roadmap_occupied_endpoint():
     grid = box_grid(30, box=(10, 20, 10, 20))
     with pytest.raises(InfeasibleEndpointError):
-        build_roadmap(grid, (1.5, 1.5), (2.8, 2.8), budget=10)
+        build_roadmap(grid, (1.5, 1.5), (2.8, 2.8), budget=10, rng=np.random.default_rng(0))
 
 
 def test_roadmap_disconnected_by_full_wall():
@@ -81,8 +81,8 @@ def test_extract_paths_direct_edge():
 
 def test_push_away_already_safe(unit_square):
     grid = empty_grid(30)
-    pos, yaw, safe, attempts = push_away(unit_square, (1.5, 1.5), 0.2, grid, margin=0.05)
-    assert safe and attempts == 0
+    pos, yaw, safe = push_away(unit_square, (1.5, 1.5), 0.2, grid)
+    assert safe
     assert np.allclose(pos, [1.5, 1.5]) and yaw == pytest.approx(0.2)
 
 
@@ -91,11 +91,11 @@ def test_push_away_translates_to_margin(unit_square):
     cells[20, 24] = True  # point 0.1 inside the robot's right edge
     grid = grid_from_cells(cells)
     start = np.array([2.05, 2.05])  # obstacle center (2.45, 2.05) sits inside
-    pos, yaw, safe, _ = push_away(unit_square, start, 0.0, grid, margin=0.05)
+    pos, yaw, safe = push_away(unit_square, start, 0.0, grid)
     assert safe
-    obstacle = np.array([2.45, 2.05])
-    body = obstacle - pos  # yaw stays ~0
-    assert unit_square.sdf(body) >= 0.05 - 1e-9
+    obstacle = np.array([[2.45, 2.05]])
+    # cleared by the fixed margin of one map cell
+    assert unit_square.sdf_at_pose(obstacle, pos, yaw)[0][0] >= grid.resolution - 1e-9
 
 
 def test_push_away_symmetric_stall(unit_square):
@@ -103,17 +103,8 @@ def test_push_away_symmetric_stall(unit_square):
     cells[20, 16] = True  # (1.65, 2.05): inside left edge
     cells[20, 24] = True  # (2.45, 2.05): inside right edge, symmetric
     grid = grid_from_cells(cells)
-    _, _, safe, attempts = push_away(unit_square, (2.05, 2.05), 0.0, grid, margin=0.05,
-                                     max_attempts=5)
-    assert not safe and attempts == 5
-
-
-def test_push_away_validation(unit_square):
-    grid = empty_grid(10)
-    with pytest.raises(ValueError):
-        push_away(unit_square, (0.5, 0.5), 0.0, grid, margin=-1)
-    with pytest.raises(ValueError):
-        push_away(unit_square, (0.5, 0.5), 0.0, grid, margin=0.1, max_attempts=0)
+    _, _, safe = push_away(unit_square, (2.05, 2.05), 0.0, grid)
+    assert not safe
 
 
 def test_discretize_polyline():
@@ -125,7 +116,7 @@ def test_discretize_polyline():
 def test_shortcut_straight_visible_path(slim_rect):
     grid = empty_grid(30)
     path = np.array([[0.5, 0.5], [1.0, 0.9], [2.5, 2.0]])
-    out = shortcut(path, slim_rect, grid)
+    out = shortcut(path, slim_rect, grid, inflate(grid, inscribed_radius(slim_rect)))
     assert isinstance(out, np.ndarray) and out.shape == (2, 2)
     assert np.allclose(out[0], [0.5, 0.5])
     assert np.allclose(out[-1], [2.5, 2.0])
@@ -138,7 +129,7 @@ def test_shortcut_around_box(slim_rect):
     kernel = build_kernel(slim_rect, 18, grid.resolution)
     # zigzag that goes around the box through the lower-right corridor
     path = np.array([[0.5, 0.5], [1.5, 0.7], [2.3, 1.0], [2.5, 2.5]])
-    out = shortcut(path, slim_rect, grid, inflated=inflated)
+    out = shortcut(path, slim_rect, grid, inflated)
     dense = discretize_polyline(path, grid.resolution)
     assert len(out) < len(dense)
     assert np.allclose(out[0], path[0])
@@ -148,8 +139,9 @@ def test_shortcut_around_box(slim_rect):
 
 
 def test_shortcut_rejects_coinciding_points(slim_rect):
+    grid = empty_grid(30)  # free, so inflating it changes nothing
     with pytest.raises(ValueError, match="at least 2 waypoints"):
-        shortcut(np.array([[0.5, 0.5], [0.5, 0.5]]), slim_rect, empty_grid(30))
+        shortcut(np.array([[0.5, 0.5], [0.5, 0.5]]), slim_rect, grid, grid)
 
 
 def test_shortcut_keeps_pushed_waypoints_on_the_map():
@@ -159,7 +151,8 @@ def test_shortcut_keeps_pushed_waypoints_on_the_map():
     cells[2:4, 16:18] = True
     grid = grid_from_cells(cells)
     path = np.array([[1.5, 0.1], [1.9, 0.1], [1.95, 0.5]])
-    out = shortcut(path, rectangle(0.3, 0.16), grid)
+    shape = rectangle(0.3, 0.16)
+    out = shortcut(path, shape, grid, inflate(grid, inscribed_radius(shape)))
     assert all(grid.in_bounds(p) for p in out)
     assert np.allclose(out[0], path[0]) and np.allclose(out[-1], path[-1])
 
