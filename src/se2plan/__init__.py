@@ -10,7 +10,7 @@ from .minco import MincoSpline, Trajectory, construct, control_effort
 from .optimize import OptOutcome, Weights, r2_cost, r2_optimize, se2_cost, se2_optimize
 from .pipeline import PlanConfig, PlanResult, SpliceError, plan, splice
 from .sequence import (MotionSequence, MotionState, SubProblem, extract_subproblems,
-                       generate_sequence, safe_yaw, seg_adjust)
+                       generate_sequence, safe_yaw)
 from .shape import (GeometryError, RobotKernel, RobotShape, build_kernel, inscribed_radius,
                     kernel_collides, parse_shape, rectangle)
 from .sweep import CollisionReport, continuous_check, swept_boundary_samples, swept_sdf_batch
@@ -25,7 +25,7 @@ __all__ = [
     "se2_optimize",
     "PlanConfig", "PlanResult", "SpliceError", "plan", "splice",
     "MotionSequence", "MotionState", "SubProblem", "extract_subproblems",
-    "generate_sequence", "safe_yaw", "seg_adjust",
+    "generate_sequence", "safe_yaw",
     "GeometryError", "RobotKernel", "RobotShape", "build_kernel",
     "inscribed_radius", "kernel_collides", "parse_shape", "rectangle",
     "CollisionReport", "continuous_check", "swept_boundary_samples",

@@ -296,9 +296,9 @@ def _decimate_indices(n: int, max_points: int) -> np.ndarray:
 def _prune_loops(positions: np.ndarray) -> np.ndarray:
     """Kept indices after removing out-and-back excursions: whenever the
     polyline wanders far and returns next to an earlier point, skip the
-    excursion.  Segment-repair pushes can leave such loops in the state
-    sequence, and seeding a spline with them strands the optimizer in a
-    self-intersecting local minimum."""
+    excursion.  The shortcut's pushed waypoints can leave such loops in the
+    state sequence, and seeding a spline with them strands the optimizer in
+    a self-intersecting local minimum."""
     n = len(positions)
     gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     if n < 4 or not np.any(gaps > 0):
@@ -358,13 +358,7 @@ def _sub_geometry(sub, v_max: float):
     idx = _decimate_indices(len(positions), _MAX_WAYPOINTS)
     pts = positions[idx]
     yw = yaws[idx]
-    # drop coincident nodes
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-9 or i == len(pts) - 1:
-            keep.append(i)
-    pts, yw = pts[keep], yw[keep]
-    if len(pts) < 2 or np.linalg.norm(pts[-1] - pts[0]) < 1e-9 and len(pts) == 2:
+    if np.all(np.linalg.norm(pts - pts[0], axis=1) < 1e-9):
         raise DegenerateInputError("sub-problem has no spatial extent")
     seg_len = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     durations = np.maximum(seg_len / (v_max / 2), 0.1)
@@ -441,12 +435,10 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
             return se2_cost(traj, w, shape, obstacles)
         return cost_fn
 
-    # escalate the safety weight while the strict check keeps failing; the
-    # millimetric residual penetrations a balanced optimum leaves behind
-    # vanish once safety dominates the smoothness trade-off
-    stages = [make_stage(weights)]
-    for boost in (10.0, 100.0):
-        stages.append(make_stage(replace(weights, lam_s=weights.lam_s * boost)))
+    # when the strict check fails, re-solve once with a tenfold safety
+    # weight; the millimetric residual penetrations a balanced optimum leaves
+    # behind vanish once safety dominates the smoothness trade-off
+    stages = [make_stage(weights), make_stage(replace(weights, lam_s=weights.lam_s * 10.0))]
 
     def accept(traj):
         return continuous_check(traj, shape, grid).clear

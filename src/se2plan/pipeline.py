@@ -183,7 +183,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     for i, cand in enumerate(candidates):
         try:
             waypoints = shortcut(cand, shape, grid, inflated)
-            sequences.append((i, generate_sequence(waypoints, shape, kernel, grid)))
+            sequences.append((i, generate_sequence(waypoints, kernel, grid)))
         except ValueError as e:
             result.failures.append(f"candidate {i}: front-end failure: {e}")
     t_refine = clock() - t0

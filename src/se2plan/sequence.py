@@ -1,7 +1,9 @@
 """Dense SE(2) motion sequence generation from the shortcut's waypoint
 positions: per-point safe-yaw kernel search (which picks every heading),
-recursive segment repair, high/low-risk labeling, and extraction of the
-SE(2) / R^2 sub-problems handed to the back-end optimizers.
+high/low-risk labeling, and extraction of the SE(2) / R^2 sub-problems
+handed to the back-end optimizers.  The sequence moves no point: the
+shortcut's push-away is the front end's only repair, and the SE(2) windows
+solve the high-risk points it leaves.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .gridmap import OccupancyGrid
 from .shape import RobotKernel, RobotShape, kernel_collides
-from .topo import discretize_polyline, push_away
+from .topo import discretize_polyline
 
 LOW_RISK = "LowRisk"
 HIGH_RISK = "HighRisk"
@@ -49,24 +51,20 @@ class SubProblem:
     states: tuple  # contiguous MotionState slice
 
 
-def safe_yaw(p, preferred_k: int, kernel: RobotKernel, grid: OccupancyGrid) -> list[int]:
-    """Collision-free orientation indices near preferred_k, in test order
-    (preferred first, then alternating +-1, +-2, ... up to _SEARCH_RANGE or
-    half the orientation bank, whichever is smaller)."""
+def safe_yaw(p, preferred_k: int, kernel: RobotKernel, grid: OccupancyGrid) -> int | None:
+    """The first collision-free orientation index near preferred_k, in test
+    order (preferred first, then alternating +-1, +-2, ... up to _SEARCH_RANGE
+    or half the orientation bank, whichever is smaller); None when all
+    collide."""
     n = kernel.n_orientations
     order = [preferred_k % n]
     for d in range(1, min(_SEARCH_RANGE, n // 2) + 1):
         order.append((preferred_k + d) % n)
         order.append((preferred_k - d) % n)
-    free = []
-    seen = set()
-    for k in order:
-        if k in seen:
-            continue
-        seen.add(k)
+    for k in dict.fromkeys(order):
         if not kernel_collides(kernel, grid, p, k):
-            free.append(k)
-    return free
+            return k
+    return None
 
 
 def _heading_index(kernel: RobotKernel, a, b) -> int:
@@ -82,77 +80,27 @@ def _tangent_index(kernel: RobotKernel, pts: np.ndarray, i: int) -> int:
     return _heading_index(kernel, pts[lo], pts[hi])
 
 
-def seg_adjust(seg_start, seg_end, shape: RobotShape, kernel: RobotKernel,
-               grid: OccupancyGrid, max_depth: int = 4):
-    """Recursive segment repair.
-
-    At the first discretized point with no safe orientation, push the point
-    away from occupancy and recurse on the two child segments.  Returns the
-    adjusted polyline (including both endpoints) on success, None on failure;
-    failure discards all intermediate work.
-    """
-    seg_start = np.asarray(seg_start, dtype=float)
-    seg_end = np.asarray(seg_end, dtype=float)
-    pts = discretize_polyline(np.array([seg_start, seg_end]), grid.resolution)
-    bad = None
-    for i, p in enumerate(pts):
-        k0 = _tangent_index(kernel, pts, i)
-        if not safe_yaw(p, k0, kernel, grid):
-            bad = i
-            break
-    if bad is None:
-        return np.array([seg_start, seg_end])
-    if max_depth <= 0:
-        return None
-    k0 = _tangent_index(kernel, pts, bad)
-    yaw0 = kernel.yaw_of(k0)
-    new_pos, _, safe = push_away(shape, pts[bad], yaw0, grid)
-    if not safe:
-        return None
-    if (np.linalg.norm(new_pos - seg_start) < 1e-9
-            or np.linalg.norm(new_pos - seg_end) < 1e-9):
-        return None
-    left = seg_adjust(seg_start, new_pos, shape, kernel, grid, max_depth - 1)
-    if left is None:
-        return None
-    right = seg_adjust(new_pos, seg_end, shape, kernel, grid, max_depth - 1)
-    if right is None:
-        return None
-    return np.vstack([left, right[1:]])
-
-
-def generate_sequence(path: np.ndarray, shape: RobotShape, kernel: RobotKernel,
+def generate_sequence(path: np.ndarray, kernel: RobotKernel,
                       grid: OccupancyGrid) -> MotionSequence:
     """Convert a waypoint polyline ((K, 2) positions) to a dense risk-labeled
     sequence; the kernel picks every heading.
 
     Each inter-waypoint segment is discretized at grid resolution; every point
-    gets the first safe orientation near the path tangent when one exists (low
-    risk), else the tangent orientation (high risk, for SE(2) optimization).
-    A segment with a high-risk point is repaired once; a repaired polyline's
-    labels replace the segment's.
+    gets the first safe orientation near the segment's tangent when one exists
+    (low risk), else the tangent orientation (high risk, for SE(2)
+    optimization).  Positions are the polyline's own: nothing is repaired
+    here.
     """
-
-    def label(polyline, first):
-        pts = discretize_polyline(polyline, grid.resolution)
-        out = []
-        for i in range(first, len(pts)):
-            k0 = _tangent_index(kernel, pts, i)
-            free = safe_yaw(pts[i], k0, kernel, grid)
-            out.append(MotionState(pts[i], kernel.yaw_of(free[0] if free else k0),
-                                   LOW_RISK if free else HIGH_RISK))
-        return out
-
     path = np.asarray(path, dtype=float)
     states: list[MotionState] = []
     for a, b in zip(path[:-1], path[1:]):
+        pts = discretize_polyline(np.array([a, b]), grid.resolution)
         first = 1 if states else 0  # the junction point comes from the previous segment
-        seg = label(np.array([a, b]), first)
-        if any(s.risk == HIGH_RISK for s in seg):
-            adjusted = seg_adjust(a, b, shape, kernel, grid)
-            if adjusted is not None:
-                seg = label(adjusted, first)
-        states.extend(seg)
+        for i in range(first, len(pts)):
+            k0 = _tangent_index(kernel, pts, i)
+            free = safe_yaw(pts[i], k0, kernel, grid)
+            states.append(MotionState(pts[i], kernel.yaw_of(k0 if free is None else free),
+                                      HIGH_RISK if free is None else LOW_RISK))
     return MotionSequence(tuple(states))
 
 

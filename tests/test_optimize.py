@@ -227,9 +227,9 @@ def test_r2_optimize_straight_line(slim_rect):
 
 
 def test_degenerate_subproblem_raises():
-    sub = make_sub("R2", [(1.0, 1.0), (1.0, 1.0)])
-    with pytest.raises(DegenerateInputError):
-        r2_optimize(sub, Weights(), budget=100)
+    for positions in ([(1.0, 1.0), (1.0, 1.0)], [(1.0, 1.0)] * 3):
+        with pytest.raises(DegenerateInputError):
+            r2_optimize(make_sub("R2", positions), Weights(), budget=100)
 
 
 def test_se2_optimize_free_corridor_near_min_jerk(slim_rect):

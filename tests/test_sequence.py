@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-import se2plan.sequence
+from se2plan.gridmap import inflate
 from se2plan.sequence import (HIGH_RISK, LOW_RISK, MotionSequence, MotionState,
-                              extract_subproblems, generate_sequence, safe_yaw,
-                              seg_adjust)
-from se2plan.shape import build_kernel, kernel_collides, rectangle
+                              extract_subproblems, generate_sequence, safe_yaw)
+from se2plan.shape import build_kernel, inscribed_radius, kernel_collides, rectangle
+from se2plan.topo import shortcut
 
 from conftest import baffle_grid, empty_grid, grid_from_cells
 
@@ -24,20 +24,24 @@ def corridor_grid(n=30, height_cells=4, y0=13):
 
 def test_safe_yaw_open_space(kernel):
     grid = empty_grid(30)
-    free = safe_yaw((1.5, 1.5), 3, kernel, grid)
-    assert free[0] == 3
-    assert len(free) == 9  # preferred plus +-1..4
+    assert safe_yaw((1.5, 1.5), 3, kernel, grid) == 3
+    # every index of the search window (preferred plus +-1..4) is free there
+    for k in range(-1, 8):
+        assert safe_yaw((1.5, 1.5), k, kernel, grid) == k % kernel.n_orientations
 
 
 def test_safe_yaw_corridor_only_horizontal(slim_rect, kernel):
     grid = corridor_grid(height_cells=4)
     p = (1.5, 1.5)
-    free = safe_yaw(p, 0, kernel, grid)
-    assert free and free[0] == 0
-    for k in free:
+    assert safe_yaw(p, 0, kernel, grid) == 0
+    # 1.0 x 0.2 robot in a 0.4 m corridor: only near-horizontal fits, so a
+    # search from any preferred index returns a near-horizontal free one
+    for preferred in range(kernel.n_orientations):
+        k = safe_yaw(p, preferred, kernel, grid)
+        if k is None:
+            continue
         yaw = kernel.yaw_of(k)
-        # 1.0 x 0.2 robot in a 0.4 m corridor: only near-horizontal fits
-        assert min(abs(np.sin(yaw)), 1 - abs(np.sin(yaw))) < 0.45
+        assert abs(np.sin(yaw)) < 0.45
         assert not kernel_collides(kernel, grid, p, k)
 
 
@@ -45,48 +49,7 @@ def test_safe_yaw_enclosed_empty(kernel):
     cells = np.ones((30, 30), dtype=bool)
     cells[15, 15] = False
     grid = grid_from_cells(cells)
-    assert safe_yaw((1.55, 1.55), 0, kernel, grid) == []
-
-
-def test_seg_adjust_free_segment(slim_rect, kernel):
-    grid = empty_grid(30)
-    out = seg_adjust((0.6, 1.5), (2.4, 1.5), slim_rect, kernel, grid)
-    assert out is not None and len(out) == 2
-    assert np.allclose(out[0], [0.6, 1.5]) and np.allclose(out[-1], [2.4, 1.5])
-
-
-def test_seg_adjust_blocked_corridor_fails(slim_rect, kernel):
-    cells = np.ones((30, 30), dtype=bool)
-    cells[14:16, :] = False  # 0.2 m corridor: the 0.2-wide robot cannot rotate
-    cells[:, 0:3] = False
-    cells[:, 27:30] = False
-    grid = grid_from_cells(cells)
-    # vertical segment crossing the corridor from the left shaft: the corridor
-    # points have no safe yaw and push-away has nowhere to go
-    out = seg_adjust((1.5, 1.35), (1.5, 1.55), slim_rect, kernel, grid,
-                     max_depth=2)
-    assert out is None
-
-
-def test_seg_adjust_corner_clip(slim_rect, kernel):
-    cells = np.zeros((30, 30), dtype=bool)
-    cells[14:30, 14:30] = True  # big box in the upper-right quadrant
-    grid = grid_from_cells(cells)
-    # documented failure: the end point (2.6, 1.25) has no free yaw (near
-    # yaw 0 the 1 m body reaches past the 3 m map edge, turned further it
-    # enters the box), and seg_adjust never moves an endpoint
-    assert seg_adjust((0.5, 1.25), (2.6, 1.25), slim_rect, kernel, grid) is None
-    # a diagonal segment whose body clips the box corner is repaired
-    seg = ((2.3, 0.5), (0.5, 2.3))
-    out = seg_adjust(*seg, slim_rect, kernel, grid)
-    assert out is not None and len(out) == 3
-    assert np.allclose(out[0], seg[0]) and np.allclose(out[-1], seg[1])
-    # every discretized point of the adjusted polyline has a free orientation
-    from se2plan.topo import discretize_polyline
-    pts = discretize_polyline(out, grid.resolution)
-    tangents = np.arctan2(*np.gradient(pts, axis=0).T[::-1])
-    for p, th in zip(pts, tangents):
-        assert safe_yaw(p, kernel.index_of(float(th)), kernel, grid)
+    assert safe_yaw((1.55, 1.55), 0, kernel, grid) is None
 
 
 def straight_path(a, b):
@@ -96,7 +59,7 @@ def straight_path(a, b):
 def test_generate_sequence_open_map(slim_rect, kernel):
     grid = empty_grid(30)
     path = straight_path((0.6, 1.5), (2.4, 1.5))
-    seq = generate_sequence(path, slim_rect, kernel, grid)
+    seq = generate_sequence(path, kernel, grid)
     assert np.allclose(seq.states[0].position, [0.6, 1.5])
     assert np.allclose(seq.states[-1].position, [2.4, 1.5])
     assert all(s.risk == LOW_RISK for s in seq.states)
@@ -110,7 +73,7 @@ def test_generate_sequence_slit_high_risk(slim_rect, kernel):
     grid = baffle_grid()
     # diagonal path threading both offset slots
     path = straight_path((1.4, 0.8), (3.0, 2.3))
-    seq = generate_sequence(path, slim_rect, kernel, grid)
+    seq = generate_sequence(path, kernel, grid)
     risks = [s.risk for s in seq.states]
     assert HIGH_RISK in risks
     # high-risk states cluster near the baffle passage (x in [1.7, 2.7])
@@ -123,28 +86,19 @@ def test_generate_sequence_slit_high_risk(slim_rect, kernel):
             assert not kernel_collides(kernel, grid, s.position, kernel.index_of(s.yaw))
 
 
-def test_generate_sequence_repairs_a_segment_once(slim_rect, kernel, monkeypatch):
-    # the straight path runs inside the first baffle wall: many of its points
-    # have no safe yaw and the segment cannot be repaired
-    grid = baffle_grid()
-    original = se2plan.sequence.seg_adjust
-    depth = 0
-    top_level = []
-
-    def counting(*args, **kwargs):
-        nonlocal depth
-        if depth == 0:
-            top_level.append(args[:2])
-        depth += 1
-        try:
-            return original(*args, **kwargs)
-        finally:
-            depth -= 1
-
-    monkeypatch.setattr(se2plan.sequence, "seg_adjust", counting)
-    seq = generate_sequence(straight_path((1.95, 0.5), (1.95, 2.5)), slim_rect, kernel, grid)
-    assert HIGH_RISK in seq.risks
-    assert len(top_level) == 1
+def test_generate_sequence_shortcut_clears_corner_clip(slim_rect, kernel):
+    cells = np.zeros((30, 30), dtype=bool)
+    cells[14:30, 14:30] = True  # big box in the upper-right quadrant
+    grid = grid_from_cells(cells)
+    # the raw diagonal's body clips the box corner; the sequence labels that
+    # and moves nothing
+    raw = straight_path((2.3, 0.5), (0.5, 2.3))
+    assert HIGH_RISK in generate_sequence(raw, kernel, grid).risks
+    # the shortcut's push-away is the front end's only repair: its polyline
+    # labels no high-risk state
+    inflated = inflate(grid, inscribed_radius(slim_rect))
+    waypoints = shortcut(raw, slim_rect, grid, inflated)
+    assert HIGH_RISK not in generate_sequence(waypoints, kernel, grid).risks
 
 
 def row_states(risks):
