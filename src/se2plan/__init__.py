@@ -15,7 +15,7 @@ from .shape import (GeometryError, RobotKernel, RobotShape, build_kernel, inscri
                     kernel_collides, parse_shape, rectangle)
 from .sweep import CollisionReport, continuous_check, swept_boundary_samples, swept_sdf_batch
 from .topo import (InfeasibleEndpointError, build_roadmap, dedup_paths, extract_paths,
-                   orientation_interp, push_away, shortcut, uvd_equivalent)
+                   shortcut, uvd_equivalent)
 
 __all__ = [
     "MalformedMapError", "OccupancyGrid", "dump_map", "extract_obstacles",
@@ -31,7 +31,7 @@ __all__ = [
     "CollisionReport", "continuous_check", "swept_boundary_samples",
     "swept_sdf_batch",
     "InfeasibleEndpointError", "build_roadmap", "dedup_paths", "extract_paths",
-    "orientation_interp", "push_away", "shortcut", "uvd_equivalent",
+    "shortcut", "uvd_equivalent",
 ]
 
 __version__ = "0.1.0"

@@ -106,7 +106,10 @@ def load_run_config(path, out_dir=None, render: bool = False,
     plan_config = _typed_section(planner, PlanConfig, "planner")
     plan_config = replace(plan_config, weights=weights)
     if seed is not None:
-        plan_config = replace(plan_config, seed=seed)
+        try:
+            plan_config = replace(plan_config, seed=seed)
+        except ValueError as e:
+            raise ConfigError(f"invalid --seed: {e}") from e
     return RunConfig(
         map_path=base / files["map"],
         shape_path=base / files["shape"],

@@ -293,32 +293,6 @@ def _decimate_indices(n: int, max_points: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n - 1, max_points)).astype(int))
 
 
-def _prune_loops(positions: np.ndarray) -> np.ndarray:
-    """Kept indices after removing out-and-back excursions: whenever the
-    polyline wanders far and returns next to an earlier point, skip the
-    excursion.  The shortcut's pushed waypoints can leave such loops in the
-    state sequence, and seeding a spline with them strands the optimizer in
-    a self-intersecting local minimum."""
-    n = len(positions)
-    gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    if n < 4 or not np.any(gaps > 0):
-        return np.arange(n)
-    tol = 1.5 * float(np.median(gaps[gaps > 0]))
-    arc = np.concatenate([[0.0], np.cumsum(gaps)])
-    keep = []
-    i = 0
-    while i < n:
-        keep.append(i)
-        nxt = i + 1
-        for j in range(n - 1, i + 1, -1):
-            if (np.linalg.norm(positions[j] - positions[i]) < tol
-                    and arc[j] - arc[i] > 4 * tol):
-                nxt = j
-                break
-        i = nxt
-    return np.array(keep)
-
-
 def _arc_fractions(positions: np.ndarray) -> np.ndarray:
     seg = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
@@ -353,8 +327,6 @@ def _sub_geometry(sub, v_max: float):
             yaws = np.interp(idx_all, idx_all[trusted], np.unwrap(yaws_raw[trusted]))
         else:
             yaws = np.unwrap(yaws_raw)
-    kept = _prune_loops(positions)
-    positions, yaws = positions[kept], yaws[kept]
     idx = _decimate_indices(len(positions), _MAX_WAYPOINTS)
     pts = positions[idx]
     yw = yaws[idx]

@@ -51,6 +51,8 @@ class PlanConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.connection_radius is not None and not self.connection_radius > 0:
             raise ValueError("connection_radius must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -182,7 +184,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     sequences = []  # (candidate index, sequence)
     for i, cand in enumerate(candidates):
         try:
-            waypoints = shortcut(cand, shape, grid, inflated)
+            waypoints = shortcut(cand, inflated)
             sequences.append((i, generate_sequence(waypoints, kernel, grid)))
         except ValueError as e:
             result.failures.append(f"candidate {i}: front-end failure: {e}")

@@ -1,9 +1,9 @@
 """Dense SE(2) motion sequence generation from the shortcut's waypoint
 positions: per-point safe-yaw kernel search (which picks every heading),
 high/low-risk labeling, and extraction of the SE(2) / R^2 sub-problems
-handed to the back-end optimizers.  The sequence moves no point: the
-shortcut's push-away is the front end's only repair, and the SE(2) windows
-solve the high-risk points it leaves.
+handed to the back-end optimizers.  Nothing in the front end moves a point
+for the body's sake: the kernel labels where the body does not fit, and the
+SE(2) windows solve those high-risk points.
 """
 
 from __future__ import annotations
@@ -74,20 +74,14 @@ def _heading_index(kernel: RobotKernel, a, b) -> int:
     return kernel.index_of(float(np.arctan2(d[1], d[0])))
 
 
-def _tangent_index(kernel: RobotKernel, pts: np.ndarray, i: int) -> int:
-    lo = max(i - 1, 0)
-    hi = min(i + 1, len(pts) - 1)
-    return _heading_index(kernel, pts[lo], pts[hi])
-
-
 def generate_sequence(path: np.ndarray, kernel: RobotKernel,
                       grid: OccupancyGrid) -> MotionSequence:
     """Convert a waypoint polyline ((K, 2) positions) to a dense risk-labeled
     sequence; the kernel picks every heading.
 
     Each inter-waypoint segment is discretized at grid resolution; every point
-    gets the first safe orientation near the segment's tangent when one exists
-    (low risk), else the tangent orientation (high risk, for SE(2)
+    gets the first safe orientation near the segment's heading when one exists
+    (low risk), else the heading orientation (high risk, for SE(2)
     optimization).  Positions are the polyline's own: nothing is repaired
     here.
     """
@@ -95,9 +89,9 @@ def generate_sequence(path: np.ndarray, kernel: RobotKernel,
     states: list[MotionState] = []
     for a, b in zip(path[:-1], path[1:]):
         pts = discretize_polyline(np.array([a, b]), grid.resolution)
+        k0 = _heading_index(kernel, a, b)
         first = 1 if states else 0  # the junction point comes from the previous segment
         for i in range(first, len(pts)):
-            k0 = _tangent_index(kernel, pts, i)
             free = safe_yaw(pts[i], k0, kernel, grid)
             states.append(MotionState(pts[i], kernel.yaw_of(k0 if free is None else free),
                                       HIGH_RISK if free is None else LOW_RISK))

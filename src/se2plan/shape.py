@@ -257,7 +257,11 @@ def build_kernel(shape: RobotShape, n_orientations: int, resolution: float) -> R
 
 def kernel_collides(kernel: RobotKernel, grid: OccupancyGrid, p, k: int) -> bool:
     """Boolean convolution check: True iff any footprint cell (translated to
-    the cell containing p) is occupied or out of bounds."""
+    the cell containing p) is occupied or out of bounds.  The kernel must be
+    built for the grid's cell size."""
+    if kernel.resolution != grid.resolution:
+        raise ValueError(f"kernel built for {kernel.resolution} m cells, "
+                         f"grid has {grid.resolution} m cells")
     if not 0 <= k < kernel.n_orientations:
         raise ValueError(f"orientation index {k} out of range")
     ix, iy = grid.world_to_cell(p)

@@ -1,7 +1,9 @@
 """Topological front end: roadmap construction on the inflated grid,
 penalized-shortest-path multi-path extraction, uniform-visibility-deformation
-path filtering, and a geometry-aware path shortcut with body-SDF push-away
-that yields waypoint positions (the motion sequence picks every heading).
+path filtering, and a grid-resolution visibility shortcut that yields
+waypoint positions.  Everything here is grid and visibility on the inflated
+map: the motion sequence picks every heading and labels where the body does
+not fit, and the SE(2) optimizer deals with the body there.
 """
 
 from __future__ import annotations
@@ -13,34 +15,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .gridmap import OccupancyGrid, extract_obstacles, is_visible, visibility
-from .shape import RobotShape
+from .gridmap import OccupancyGrid, is_visible
 
 # edge-weight factor on a found path's interior nodes in later extraction rounds
 _AVOID_FACTOR = 10.0
-# yaw tried on each side of the current one by push_away: a quarter of the
-# 18-orientation kernel step
-_YAW_TWEAK = (2 * np.pi / 18) / 4
-# push_away's translation steps before it gives up
-_PUSH_ATTEMPTS = 20
 
 
 class InfeasibleEndpointError(ValueError):
     """Raised when a query endpoint lies in inflated occupancy."""
-
-
-def wrap_angle(theta: float) -> float:
-    """Normalize to (-pi, pi]."""
-    w = (theta + np.pi) % (2 * np.pi) - np.pi
-    return np.pi if w == -np.pi else w
-
-
-def orientation_interp(theta_a: float, theta_b: float, s: float) -> float:
-    """Cubic Hermite blend along the shortest angular arc, zero end rates."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("blend fraction must be in [0, 1]")
-    delta = wrap_angle(theta_b - theta_a)
-    return wrap_angle(theta_a + delta * (3 * s**2 - 2 * s**3))
 
 
 @dataclass
@@ -129,50 +111,6 @@ def extract_paths(roadmap: Roadmap, max_paths: int) -> list[np.ndarray]:
     return paths
 
 
-def push_away(shape: RobotShape, position, yaw: float, grid: OccupancyGrid):
-    """Iteratively translate (and slightly rotate) a pose until every nearby
-    obstacle point clears the body SDF by one map cell (`grid.resolution`).
-
-    Each of up to _PUSH_ATTEMPTS attempts sums the position gradients
-    (RobotShape.sdf_at_pose) of all violating obstacle points, weighted by
-    their penetration (margin - value), caps the translation at one map
-    resolution, and tries a _YAW_TWEAK in whichever direction raises the
-    worst clearance.  Returns (position, yaw, safe).
-    """
-    margin = grid.resolution
-    position = np.asarray(position, dtype=float).copy()
-    yaw = float(yaw)
-    half_extent = shape.circumradius + margin + grid.resolution
-
-    def min_clearance(pos, th):
-        obs = extract_obstacles(grid, pos, half_extent)
-        if obs.shape[0] == 0:
-            return np.inf
-        return float(np.min(shape.sdf_at_pose(obs, pos, th)[0]))
-
-    for attempt in range(_PUSH_ATTEMPTS + 1):
-        obstacles = extract_obstacles(grid, position, half_extent)
-        values, dval = shape.sdf_at_pose(obstacles, position, yaw)
-        violating = values < margin
-        if not np.any(violating):
-            return position, wrap_angle(yaw), True
-        if attempt == _PUSH_ATTEMPTS:
-            break
-        step = np.sum(dval[violating, :2] * (margin - values[violating])[:, None], axis=0)
-        norm = np.linalg.norm(step)
-        if norm > grid.resolution:
-            step *= grid.resolution / norm
-        position = position + step
-        base = min_clearance(position, yaw)
-        plus = min_clearance(position, yaw + _YAW_TWEAK)
-        minus = min_clearance(position, yaw - _YAW_TWEAK)
-        if plus > base and plus >= minus:
-            yaw += _YAW_TWEAK
-        elif minus > base:
-            yaw -= _YAW_TWEAK
-    return position, wrap_angle(yaw), False
-
-
 def discretize_polyline(points: np.ndarray, step: float) -> np.ndarray:
     """Uniformly resample a polyline at roughly `step` spacing, keeping the
     original vertices' geometry (samples lie on the polyline)."""
@@ -188,72 +126,11 @@ def discretize_polyline(points: np.ndarray, step: float) -> np.ndarray:
     return np.array(out)
 
 
-def shortcut(path: np.ndarray, shape: RobotShape, grid: OccupancyGrid,
-             inflated: OccupancyGrid) -> np.ndarray:
-    """Greedy geometry-aware path shortcut; returns the kept waypoint
-    positions as a (K, 2) array, start and goal included.
-
-    The input point path is uniformly discretized at grid resolution; each
-    discrete point is tested for visibility from the last kept waypoint on
-    the inflated grid, where the topological path lives.
-    On blockage the last visible sample becomes a corner waypoint; the
-    obstruction point is additionally seeded with a yaw interpolated from the
-    last kept waypoint's and pushed away from the real occupancy, and the
-    pushed position is kept as an extra waypoint when the push succeeded,
-    stayed on the map and did not break the visibility chain.  Only the
-    positions leave this function: the motion sequence picks every heading.
-    """
-    path = np.asarray(path, dtype=float)
-    dense = discretize_polyline(path, grid.resolution)
-    kept = [dense[0]]
-    yaw = wrap_angle(_heading(dense[0], dense[min(1, len(dense) - 1)]))  # of kept[-1]
-    last_visible = dense[0]
-    for p_d in dense[1:]:
-        back = kept[-1]
-        if np.linalg.norm(p_d - back) < 1e-12:
-            continue
-        p_c = visibility(inflated, back, p_d)
-        if p_c is None:
-            last_visible = p_d
-            continue
-        chord = np.linalg.norm(p_d - back)
-        s = float(np.clip(np.linalg.norm(p_c - back) / max(chord, 1e-12), 0.0, 1.0))
-        seg_heading = _heading(back, p_d)
-        seed_yaw = orientation_interp(yaw, seg_heading, s)
-        if np.linalg.norm(last_visible - back) > 1e-12:
-            kept.append(last_visible)
-            yaw = wrap_angle(seg_heading)
-            back = last_visible
-        new_pos, new_yaw, safe = push_away(shape, p_c, seed_yaw, grid)
-        if (safe
-                and grid.in_bounds(new_pos)
-                and np.linalg.norm(new_pos - back) > 1e-12
-                and is_visible(inflated, back, new_pos)
-                and is_visible(inflated, new_pos, p_d)):
-            kept.append(new_pos)
-            yaw = wrap_angle(new_yaw)
-        last_visible = p_d if is_visible(inflated, kept[-1], p_d) else kept[-1]
-    if np.linalg.norm(dense[-1] - kept[-1]) > 1e-12:
-        kept.append(dense[-1])
-    if len(kept) < 2:
-        raise ValueError("a path needs at least 2 waypoints")
-    kept = np.array(kept)
-    if np.any(np.linalg.norm(np.diff(kept, axis=0), axis=1) < 1e-12):
-        raise ValueError("consecutive waypoints must not coincide")
-    return kept
-
-
-def _heading(a, b) -> float:
-    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    if np.linalg.norm(d) < 1e-12:
-        return 0.0
-    return float(np.arctan2(d[1], d[0]))
-
-
 def simplify_path(points: np.ndarray, grid: OccupancyGrid) -> np.ndarray:
     """Greedy visibility simplification of a point path: from each kept vertex
-    jump to the farthest directly visible vertex.  Keeps endpoints; useful for
-    tautening raw roadmap paths before topological comparison."""
+    advance while the next vertex is directly visible, and keep the last one
+    reached.  Keeps endpoints; tautens raw roadmap paths before topological
+    comparison and, over a dense resampling, is the shortcut."""
     points = np.asarray(points, dtype=float)
     if len(points) <= 2:
         return points.copy()
@@ -266,6 +143,22 @@ def simplify_path(points: np.ndarray, grid: OccupancyGrid) -> np.ndarray:
         kept.append(j)
         i = j
     return points[kept]
+
+
+def shortcut(path: np.ndarray, inflated: OccupancyGrid) -> np.ndarray:
+    """Visibility shortcut of a candidate path; returns the kept waypoint
+    positions as a (K, 2) array, start and goal included.
+
+    The path is discretized at grid resolution and simplified on the inflated
+    grid: each kept waypoint is the last dense sample of the run that the
+    waypoint before it sees.
+    """
+    kept = simplify_path(discretize_polyline(path, inflated.resolution), inflated)
+    if len(kept) < 2:
+        raise ValueError("a path needs at least 2 waypoints")
+    if np.any(np.linalg.norm(np.diff(kept, axis=0), axis=1) < 1e-12):
+        raise ValueError("consecutive waypoints must not coincide")
+    return kept
 
 
 def _resample_by_arc(points: np.ndarray, n: int) -> np.ndarray:

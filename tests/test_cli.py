@@ -163,6 +163,15 @@ def test_config_validation_errors(tmp_path):
                      ("start = 0.5 0.5 0", "start = inf 0.5 0")):
         cfg = write_scene(tmp_path, empty_grid(30), cfg_text=text.replace(old, new))
         assert main(["plan", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    # a negative seed is a configuration error, in the file and on the command line
+    cfg = write_scene(tmp_path, empty_grid(30), cfg_text=text.replace("seed = 0", "seed = -1"))
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_run_config(cfg)
+    assert main(["plan", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    cfg = write_scene(tmp_path, empty_grid(30))
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_run_config(cfg, seed=-3)
+    assert main(["plan", str(cfg), "--seed", "-3", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
 def test_seed_override(tmp_path):

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from se2plan.gridmap import inflate
 from se2plan.sequence import (HIGH_RISK, LOW_RISK, MotionSequence, MotionState,
                               extract_subproblems, generate_sequence, safe_yaw)
-from se2plan.shape import build_kernel, inscribed_radius, kernel_collides, rectangle
-from se2plan.topo import shortcut
+from se2plan.shape import build_kernel, kernel_collides, rectangle
 
 from conftest import baffle_grid, empty_grid, grid_from_cells
 
@@ -84,21 +82,6 @@ def test_generate_sequence_slit_high_risk(slim_rect, kernel):
     for s in seq.states:
         if s.risk == LOW_RISK:
             assert not kernel_collides(kernel, grid, s.position, kernel.index_of(s.yaw))
-
-
-def test_generate_sequence_shortcut_clears_corner_clip(slim_rect, kernel):
-    cells = np.zeros((30, 30), dtype=bool)
-    cells[14:30, 14:30] = True  # big box in the upper-right quadrant
-    grid = grid_from_cells(cells)
-    # the raw diagonal's body clips the box corner; the sequence labels that
-    # and moves nothing
-    raw = straight_path((2.3, 0.5), (0.5, 2.3))
-    assert HIGH_RISK in generate_sequence(raw, kernel, grid).risks
-    # the shortcut's push-away is the front end's only repair: its polyline
-    # labels no high-risk state
-    inflated = inflate(grid, inscribed_radius(slim_rect))
-    waypoints = shortcut(raw, slim_rect, grid, inflated)
-    assert HIGH_RISK not in generate_sequence(waypoints, kernel, grid).risks
 
 
 def row_states(risks):

@@ -242,6 +242,20 @@ def test_kernel_collides_cases(slim_rect):
         kernel_collides(kernel, empty, (1.5, 1.5), 18)
 
 
+def test_kernel_collides_rejects_a_kernel_for_other_cells():
+    shape = rectangle(0.6, 0.3)
+    cells = np.zeros((40, 40), dtype=bool)
+    cells[20, 25] = True  # centre (1.275, 1.025)
+    fine = grid_from_cells(cells, resolution=0.05)
+    p = fine.cell_center(20, 20)
+    # the obstacle lies 5 cm inside the body at yaw 0
+    inside = polygon_sdf(shape.vertices, fine.cell_center(25, 20)[None] - p)[0]
+    assert inside == pytest.approx(-0.05)
+    assert kernel_collides(build_kernel(shape, 18, 0.05), fine, p, 0)
+    with pytest.raises(ValueError, match="cells"):
+        kernel_collides(build_kernel(shape, 18, 0.1), fine, p, 0)
+
+
 def _assert_kernel_matches_sdf(shape, rng):
     """Kernel convolution against the exact SDF at every occupied cell centre,
     both placing the reference point at the pose (criterion 05 style)."""

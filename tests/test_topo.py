@@ -2,33 +2,13 @@ import numpy as np
 import pytest
 
 import se2plan.topo
-from se2plan.gridmap import inflate, is_visible
+from se2plan.gridmap import inflate, visibility
 from se2plan.shape import build_kernel, inscribed_radius, kernel_collides, rectangle
 from se2plan.topo import (InfeasibleEndpointError, Roadmap, build_roadmap, dedup_paths,
-                          discretize_polyline, extract_paths, orientation_interp,
-                          push_away, shortcut, simplify_path, uvd_equivalent, wrap_angle)
+                          discretize_polyline, extract_paths, shortcut, simplify_path,
+                          uvd_equivalent)
 
-from conftest import box_grid, empty_grid, grid_from_cells, wall_grid
-
-
-def test_wrap_angle():
-    assert wrap_angle(0.0) == 0.0
-    assert wrap_angle(np.pi) == pytest.approx(np.pi)
-    assert wrap_angle(-np.pi) == pytest.approx(np.pi)
-    assert wrap_angle(3 * np.pi) == pytest.approx(np.pi)
-    assert wrap_angle(np.deg2rad(370)) == pytest.approx(np.deg2rad(10))
-
-
-def test_orientation_interp():
-    assert orientation_interp(0.7, 0.7, 0.3) == pytest.approx(0.7)
-    assert orientation_interp(0.0, np.pi / 2, 0.5) == pytest.approx(np.pi / 4)
-    # wraps the short way across the pi seam
-    mid = orientation_interp(np.deg2rad(170), np.deg2rad(-170), 0.5)
-    assert mid == pytest.approx(np.pi)
-    assert orientation_interp(0.0, 1.0, 0.0) == pytest.approx(0.0)
-    assert orientation_interp(0.0, 1.0, 1.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        orientation_interp(0.0, 1.0, 1.5)
+from conftest import box_grid, empty_grid, grid_from_cells, random_obstacle_grid, wall_grid
 
 
 def test_build_roadmap_direct_connection():
@@ -79,34 +59,6 @@ def test_extract_paths_direct_edge():
     assert len(paths) == 1 and len(paths[0]) == 2
 
 
-def test_push_away_already_safe(unit_square):
-    grid = empty_grid(30)
-    pos, yaw, safe = push_away(unit_square, (1.5, 1.5), 0.2, grid)
-    assert safe
-    assert np.allclose(pos, [1.5, 1.5]) and yaw == pytest.approx(0.2)
-
-
-def test_push_away_translates_to_margin(unit_square):
-    cells = np.zeros((40, 40), dtype=bool)
-    cells[20, 24] = True  # point 0.1 inside the robot's right edge
-    grid = grid_from_cells(cells)
-    start = np.array([2.05, 2.05])  # obstacle center (2.45, 2.05) sits inside
-    pos, yaw, safe = push_away(unit_square, start, 0.0, grid)
-    assert safe
-    obstacle = np.array([[2.45, 2.05]])
-    # cleared by the fixed margin of one map cell
-    assert unit_square.sdf_at_pose(obstacle, pos, yaw)[0][0] >= grid.resolution - 1e-9
-
-
-def test_push_away_symmetric_stall(unit_square):
-    cells = np.zeros((40, 40), dtype=bool)
-    cells[20, 16] = True  # (1.65, 2.05): inside left edge
-    cells[20, 24] = True  # (2.45, 2.05): inside right edge, symmetric
-    grid = grid_from_cells(cells)
-    _, _, safe = push_away(unit_square, (2.05, 2.05), 0.0, grid)
-    assert not safe
-
-
 def test_discretize_polyline():
     pts = discretize_polyline(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.3)
     assert np.allclose(pts[0], [0, 0]) and np.allclose(pts[-1], [1, 0])
@@ -116,7 +68,7 @@ def test_discretize_polyline():
 def test_shortcut_straight_visible_path(slim_rect):
     grid = empty_grid(30)
     path = np.array([[0.5, 0.5], [1.0, 0.9], [2.5, 2.0]])
-    out = shortcut(path, slim_rect, grid, inflate(grid, inscribed_radius(slim_rect)))
+    out = shortcut(path, inflate(grid, inscribed_radius(slim_rect)))
     assert isinstance(out, np.ndarray) and out.shape == (2, 2)
     assert np.allclose(out[0], [0.5, 0.5])
     assert np.allclose(out[-1], [2.5, 2.0])
@@ -129,7 +81,7 @@ def test_shortcut_around_box(slim_rect):
     kernel = build_kernel(slim_rect, 18, grid.resolution)
     # zigzag that goes around the box through the lower-right corridor
     path = np.array([[0.5, 0.5], [1.5, 0.7], [2.3, 1.0], [2.5, 2.5]])
-    out = shortcut(path, slim_rect, grid, inflated)
+    out = shortcut(path, inflated)
     dense = discretize_polyline(path, grid.resolution)
     assert len(out) < len(dense)
     assert np.allclose(out[0], path[0])
@@ -138,23 +90,63 @@ def test_shortcut_around_box(slim_rect):
         assert any(not kernel_collides(kernel, grid, wp, k) for k in range(kernel.n_orientations))
 
 
-def test_shortcut_rejects_coinciding_points(slim_rect):
+def test_shortcut_rejects_coinciding_points():
     grid = empty_grid(30)  # free, so inflating it changes nothing
     with pytest.raises(ValueError, match="at least 2 waypoints"):
-        shortcut(np.array([[0.5, 0.5], [0.5, 0.5]]), slim_rect, grid, grid)
+        shortcut(np.array([[0.5, 0.5], [0.5, 0.5]]), grid)
 
 
-def test_shortcut_keeps_pushed_waypoints_on_the_map():
-    # the obstruction sits next to the map's bottom edge: pushing it clear of
-    # the box moves the pose below y = 0, off the map
+def test_shortcut_keeps_waypoints_on_the_map():
+    # the path hugs the map's bottom edge next to a box: every corner stays
+    # on the map
     cells = np.zeros((20, 20), dtype=bool)
     cells[2:4, 16:18] = True
     grid = grid_from_cells(cells)
     path = np.array([[1.5, 0.1], [1.9, 0.1], [1.95, 0.5]])
     shape = rectangle(0.3, 0.16)
-    out = shortcut(path, shape, grid, inflate(grid, inscribed_radius(shape)))
+    out = shortcut(path, inflate(grid, inscribed_radius(shape)))
     assert all(grid.in_bounds(p) for p in out)
     assert np.allclose(out[0], path[0]) and np.allclose(out[-1], path[-1])
+
+
+def _greedy_walk(path, inflated):
+    """Reference shortcut: walk the dense path and keep the last visible
+    sample whenever the next one is blocked from the last kept waypoint."""
+    dense = discretize_polyline(path, inflated.resolution)
+    kept = [dense[0]]
+    last_visible = dense[0]
+    for p_d in dense[1:]:
+        back = kept[-1]
+        if np.linalg.norm(p_d - back) < 1e-12:
+            continue
+        if visibility(inflated, back, p_d) is None:
+            last_visible = p_d
+            continue
+        if np.linalg.norm(last_visible - back) > 1e-12:
+            kept.append(last_visible)
+        last_visible = p_d if visibility(inflated, kept[-1], p_d) is None else kept[-1]
+    if np.linalg.norm(dense[-1] - kept[-1]) > 1e-12:
+        kept.append(dense[-1])
+    return np.array(kept)
+
+
+def test_shortcut_matches_the_greedy_walk(rng):
+    shape = rectangle(0.3, 0.16)
+    compared = 0
+    for _ in range(12):
+        grid = random_obstacle_grid(rng, n=30, n_boxes=8, max_side=5)
+        inflated = inflate(grid, inscribed_radius(shape))
+        free = np.argwhere(~inflated.cells)
+        if len(free) < 2:
+            continue
+        (ya, xa), (yb, xb) = free[rng.choice(len(free), 2, replace=False)]
+        start, goal = inflated.cell_center(xa, ya), inflated.cell_center(xb, yb)
+        roadmap = build_roadmap(inflated, start, goal, budget=60, rng=rng)
+        for raw in extract_paths(roadmap, max_paths=4):
+            for path in (raw, simplify_path(raw, inflated)):
+                assert np.array_equal(shortcut(path, inflated), _greedy_walk(path, inflated))
+                compared += 1
+    assert compared >= 10
 
 
 def test_uvd_identical_paths():
