@@ -5,7 +5,7 @@ continuous collision certification.
 """
 
 from .gridmap import (MalformedMapError, OccupancyGrid, dump_map, extract_obstacles,
-                      inflate, is_visible, load_map, visibility)
+                      inflate, is_visible, load_map)
 from .minco import MincoSpline, Trajectory, construct, control_effort
 from .optimize import OptOutcome, Weights, r2_cost, r2_optimize, se2_cost, se2_optimize
 from .pipeline import PlanConfig, PlanResult, SpliceError, plan, splice
@@ -19,7 +19,7 @@ from .topo import (InfeasibleEndpointError, build_roadmap, dedup_paths, extract_
 
 __all__ = [
     "MalformedMapError", "OccupancyGrid", "dump_map", "extract_obstacles",
-    "inflate", "is_visible", "load_map", "visibility",
+    "inflate", "is_visible", "load_map",
     "MincoSpline", "Trajectory", "construct", "control_effort",
     "OptOutcome", "Weights", "r2_cost", "r2_optimize", "se2_cost",
     "se2_optimize",

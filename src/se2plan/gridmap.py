@@ -30,7 +30,9 @@ class OccupancyGrid:
     resolution: float
     origin: np.ndarray  # (2,) world coordinate of the corner of cell (0, 0)
     cells: np.ndarray  # bool, shape (height, width)
-    _occupied_centers: list = field(default_factory=list, repr=False, compare=False)
+    # not an init field, so dataclasses.replace starts an empty cache
+    _occupied_centers: list = field(default_factory=list, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         # written as `not ...` so that NaN fails too
@@ -156,25 +158,30 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     return OccupancyGrid(grid.resolution, grid.origin, cells)
 
 
-def extract_obstacles(grid: OccupancyGrid, center, half_extent: float) -> np.ndarray:
-    """Centers of occupied cells within the axis-aligned box center±half_extent.
+def extract_obstacles(grid: OccupancyGrid, positions, pad: float) -> np.ndarray:
+    """Centers of occupied cells within the axis-aligned square centred on
+    the bounding box of `positions` ((N, 2), or one (2,) point) whose half
+    side is pad plus half the box's longer side.  The square contains every
+    point within pad of a position.
 
     Returns an (N, 2) array (possibly empty).
     """
-    if half_extent <= 0:
-        raise ValueError(f"half_extent must be > 0, got {half_extent}")
+    if pad <= 0:
+        raise ValueError(f"pad must be > 0, got {pad}")
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    lo = positions.min(axis=0) - pad
+    hi = positions.max(axis=0) + pad
+    center = (lo + hi) / 2
     pts = grid.occupied_centers()
-    if pts.shape[0] == 0:
-        return pts.reshape(0, 2)
-    c = np.asarray(center, dtype=float)
-    keep = np.all(np.abs(pts - c) <= half_extent + 1e-12, axis=1)
+    keep = np.all(np.abs(pts - center) <= float(np.max(hi - center)) + 1e-12, axis=1)
     return pts[keep]
 
 
 def _supercover_cells(grid: OccupancyGrid, a, b) -> np.ndarray:
-    """All cells the segment a->b touches, ordered from a to b, shape (N, 2)
-    columns (ix, iy).  Passing exactly through a lattice corner includes both
-    side cells so thin diagonal walls cannot be tunneled through."""
+    """All cells the segment a->b touches, in no particular order, shape
+    (N, 2) columns (ix, iy).  Passing exactly through a lattice corner
+    includes both side cells so thin diagonal walls cannot be tunneled
+    through."""
     res = grid.resolution
     u0 = (np.asarray(a, dtype=float) - grid.origin) / res
     u1 = (np.asarray(b, dtype=float) - grid.origin) / res
@@ -191,39 +198,20 @@ def _supercover_cells(grid: OccupancyGrid, a, b) -> np.ndarray:
     mid = mid[(t_all[1:] - t_all[:-1]) > 1e-13]
     cells = np.floor(u0[None, :] + mid[:, None] * d[None, :]).astype(int)
     # An exact lattice-corner crossing shows up as a diagonal jump between
-    # consecutive cells; insert both side cells there.
-    diag = np.nonzero((np.diff(cells[:, 0]) != 0) & (np.diff(cells[:, 1]) != 0))[0]
-    if diag.size:
-        out = []
-        diag_set = set(diag.tolist())
-        for i in range(len(cells)):
-            out.append(cells[i])
-            if i in diag_set:
-                out.append(np.array([cells[i + 1][0], cells[i][1]]))
-                out.append(np.array([cells[i][0], cells[i + 1][1]]))
-        cells = np.array(out, dtype=int)
+    # consecutive cells; add both side cells of each
+    corner = np.nonzero((np.diff(cells[:, 0]) != 0) & (np.diff(cells[:, 1]) != 0))[0]
+    if corner.size:
+        cells = np.concatenate([cells, np.column_stack([cells[corner + 1, 0], cells[corner, 1]]),
+                                np.column_stack([cells[corner, 0], cells[corner + 1, 1]])])
     np.clip(cells[:, 0], 0, grid.width - 1, out=cells[:, 0])
     np.clip(cells[:, 1], 0, grid.height - 1, out=cells[:, 1])
     return cells
 
 
-def visibility(grid: OccupancyGrid, a, b):
-    """Walk the supercover cells of segment a->b in order.
-
-    Returns None if every traversed cell is free, else the world center of the
-    first occupied cell (the obstruction point).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def is_visible(grid: OccupancyGrid, a, b) -> bool:
+    """True iff every cell the segment a->b touches is free; both endpoints
+    must lie inside the grid."""
     if not grid.in_bounds(a) or not grid.in_bounds(b):
         raise ValueError("visibility endpoints must lie inside grid bounds")
     cells = _supercover_cells(grid, a, b)
-    occ = grid.cells[cells[:, 1], cells[:, 0]]
-    hit = np.argmax(occ)
-    if occ[hit]:
-        return grid.cell_center(cells[hit, 0], cells[hit, 1])
-    return None
-
-
-def is_visible(grid: OccupancyGrid, a, b) -> bool:
-    return visibility(grid, a, b) is None
+    return not grid.cells[cells[:, 1], cells[:, 0]].any()

@@ -64,10 +64,13 @@ class Trajectory:
     def __post_init__(self):
         dur = np.asarray(self.durations, dtype=float)
         co = np.asarray(self.coeffs, dtype=float)
-        if np.any(dur <= 0):
-            raise ValueError("piece durations must be positive")
+        # written as `not ...` so that NaN fails too
+        if not ((dur > 0) & (dur < np.inf)).all():
+            raise ValueError("piece durations must be positive and finite")
         if co.ndim != 3 or co.shape[0] != dur.shape[0] or co.shape[1] != NCOEF:
             raise ValueError(f"coefficients must have shape (M, {NCOEF}, m)")
+        if not np.isfinite(co).all():
+            raise ValueError("coefficients must be finite")
         dur.flags.writeable = False
         co.flags.writeable = False
         object.__setattr__(self, "durations", dur)
@@ -119,20 +122,24 @@ class Trajectory:
 
     @staticmethod
     def from_text(text: str) -> "Trajectory":
+        """Inverse of to_text; a malformed document raises ValueError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        m_pieces = int(lines[0].split(":")[1])
-        dim = int(lines[1].split(":")[1])
-        durations = []
-        coeffs = []
-        pos = 2
-        for _ in range(m_pieces):
-            durations.append(float(lines[pos].split(":")[1]))
-            pos += 1
-            rows = []
-            for _ in range(NCOEF):
-                rows.append([float(x) for x in lines[pos].split(":")[1].split()])
+        try:
+            m_pieces = int(lines[0].split(":")[1])
+            dim = int(lines[1].split(":")[1])
+            durations = []
+            coeffs = []
+            pos = 2
+            for _ in range(m_pieces):
+                durations.append(float(lines[pos].split(":")[1]))
                 pos += 1
-            coeffs.append(rows)
+                rows = []
+                for _ in range(NCOEF):
+                    rows.append([float(x) for x in lines[pos].split(":")[1].split()])
+                    pos += 1
+                coeffs.append(rows)
+        except IndexError as e:
+            raise ValueError("truncated or malformed trajectory document") from e
         traj = Trajectory(np.array(durations), np.array(coeffs))
         if traj.dim != dim:
             raise ValueError("dimension mismatch in trajectory document")

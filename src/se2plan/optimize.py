@@ -81,9 +81,11 @@ class Weights:
 
 @dataclass
 class OptOutcome:
-    """A sub-problem's solved trajectory, whether the last solver stage
-    converged, the iterations over all stages, and (SE(2) solves only) the
-    verdict of the zero-margin continuous check of the trajectory.  The cost
+    """A sub-problem's solved trajectory, whether its last solve converged,
+    the iterations summed over its solves, and (SE(2) solves only) the
+    verdict of the zero-margin continuous check of the trajectory.  An SE(2)
+    solve that fails its check is re-solved once, warm-started, with a
+    tenfold safety weight; the verdict is that of the last solve.  The cost
     terms are not kept: se2_cost or r2_cost of the trajectory gives them."""
 
     trajectory: Trajectory
@@ -95,8 +97,9 @@ class OptOutcome:
 def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
-    fun(x) -> (f, grad).  Accepted steps never increase f.  Returns
-    (x, f, iterations, converged).
+    fun(x) -> (f, grad).  Accepted steps never increase f; a line search
+    that finds no acceptable step ends the descent at the last accepted
+    point, unconverged.  Returns (x, f, iterations, converged).
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun(x)
@@ -105,7 +108,6 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
     rho_hist: list[float] = []
     it = 0
     stall = 0  # consecutive iterations with negligible relative decrease
-    restarted = False
     converged = bool(np.max(np.abs(g)) < _G_TOL)
     while it < max_iter and not converged:
         # two-loop recursion
@@ -139,12 +141,6 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
             alpha *= 0.5
         it += 1
         if not accepted:
-            if s_hist and not restarted:
-                # stale curvature can poison the search direction; retry once
-                # from a fresh steepest-descent state
-                s_hist, y_hist, rho_hist = [], [], []
-                restarted = True
-                continue
             break
         s_vec = x_new - x
         y_vec = g_new - g
@@ -301,22 +297,19 @@ def _arc_fractions(positions: np.ndarray) -> np.ndarray:
     return np.linspace(0.0, 1.0, len(positions))
 
 
-def _junction_yaw_ramp(positions: np.ndarray, yaws_raw: np.ndarray) -> np.ndarray:
-    dy = (yaws_raw[-1] - yaws_raw[0] + np.pi) % (2 * np.pi) - np.pi
-    return yaws_raw[0] + _arc_fractions(positions) * dy
-
-
 def _sub_geometry(sub, v_max: float):
-    """Initial (boundary states, waypoints, durations, yaw series) for a
-    sub-problem: positions from decimated states, yaw unwrapped from the
-    states' kernel yaws, durations from arc length at half v_max."""
+    """The spline and packed initial parameters of a sub-problem, and the
+    positions and seed yaws of all its states: waypoints are decimated
+    states, yaws are unwrapped from the states' kernel yaws, and durations
+    come from arc length at half v_max."""
     positions = np.array([s.position for s in sub.states])
     yaws_raw = np.array([s.yaw for s in sub.states])
     if sub.kind == "R2":
         # translation-dominant slice: interior orientation picks are per-point
         # and can flip between symmetric aliases, so only the junction yaws
         # are meaningful; take the shortest rotation between them
-        yaws = _junction_yaw_ramp(positions, yaws_raw)
+        dy = (yaws_raw[-1] - yaws_raw[0] + np.pi) % (2 * np.pi) - np.pi
+        yaws = yaws_raw[0] + _arc_fractions(positions) * dy
     else:
         # High-risk orientations are placeholders (no collision-free kernel
         # yaw exists there); seed them by interpolating between the
@@ -329,62 +322,34 @@ def _sub_geometry(sub, v_max: float):
             yaws = np.unwrap(yaws_raw)
     idx = _decimate_indices(len(positions), _MAX_WAYPOINTS)
     pts = positions[idx]
-    yw = yaws[idx]
     if np.all(np.linalg.norm(pts - pts[0], axis=1) < 1e-9):
         raise DegenerateInputError("sub-problem has no spatial extent")
     seg_len = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     durations = np.maximum(seg_len / (v_max / 2), 0.1)
-    q = np.column_stack([pts, yw])
+    q = np.column_stack([pts, yaws[idx]])
     start = np.zeros((3, 3))
     end = np.zeros((3, 3))
     start[0] = q[0]
     end[0] = q[-1]
-    return start, end, q[1:-1], durations
+    x = np.concatenate([q[1:-1].ravel(), _softplus_inv(durations)])
+    return MincoSpline(start, end, len(durations)), x, positions, yaws
 
 
-def _run_solver(spline: MincoSpline, waypoints0, durations0, stages, budget: int,
-                accept=None):
-    """Solve min cost over (waypoints, durations) through one or more cost
-    stages, warm-starting each stage from the previous solution.  When an
-    `accept` predicate is given, later stages (typically with escalated
-    penalty weights) run only while it rejects the current trajectory, and
-    its verdict on the returned trajectory is returned (None without one).
-    Returns (trajectory, iterations, converged, verdict)."""
-    m = spline.n_pieces
-    dim = spline.dim
-    nq = (m - 1) * dim
+def _solve(spline: MincoSpline, x: np.ndarray, cost_fn, budget: int):
+    """Minimize cost_fn(trajectory) over the spline's interior waypoints and
+    softplus-mapped durations, packed in x, starting from x.  Returns
+    (x, trajectory, iterations, converged)."""
+    nq = (spline.n_pieces - 1) * spline.dim
 
-    def unpack(x):
-        q = x[:nq].reshape(m - 1, dim)
-        t = _softplus(x[nq:])
-        return q, t
+    def objective(x):
+        traj = spline.set_params(x[:nq], _softplus(x[nq:]))
+        cost, _, grad_c, grad_t = cost_fn(traj)
+        gq, gt = spline.gradients(grad_c, grad_t)
+        sig = expit(x[nq:])  # d softplus / d tau
+        return cost, np.concatenate([gq.ravel(), gt * sig])
 
-    def make_objective(cost_fn):
-        def objective(x):
-            q, t = unpack(x)
-            traj = spline.set_params(q, t)
-            cost, _, grad_c, grad_t = cost_fn(traj)
-            gq, gt = spline.gradients(grad_c, grad_t)
-            sig = expit(x[nq:])  # d softplus / d tau
-            return cost, np.concatenate([gq.ravel(), gt * sig])
-        return objective
-
-    x = np.concatenate([np.asarray(waypoints0, dtype=float).ravel(),
-                        _softplus_inv(np.asarray(durations0, dtype=float))])
-    iters = 0
-    converged = False
-    traj = None
-    accepted = None
-    for cost_fn in stages:
-        x, _, it, converged = lbfgs(make_objective(cost_fn), x, max_iter=budget)
-        iters += it
-        q, t = unpack(x)
-        traj = spline.set_params(q, t)
-        if accept is not None:
-            accepted = accept(traj)
-            if accepted:
-                break
-    return traj, iters, converged, accepted
+    x, _, iterations, converged = lbfgs(objective, x, max_iter=budget)
+    return x, spline.set_params(x[:nq], _softplus(x[nq:])), iterations, converged
 
 
 def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
@@ -392,47 +357,31 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
     """Optimize one high-risk sub-problem in full SE(2) with swept-volume
     safety; the outcome's collision_free flag is set by an independent
     continuous collision check at zero margin."""
-    start, end, wps, durs = _sub_geometry(sub, weights.v_max)
-    positions = np.array([s.position for s in sub.states])
-    pad = shape.circumradius + weights.d_safe + 2 * grid.resolution
-    lo = positions.min(axis=0) - pad
-    hi = positions.max(axis=0) + pad
-    center = (lo + hi) / 2
-    obstacles = extract_obstacles(grid, center, float(np.max(hi - center)))
-    spline = MincoSpline(start, end, len(durs))
-
-    def make_stage(w):
-        def cost_fn(traj):
-            # quadrature guidance only; the continuous check below stays strict
-            return se2_cost(traj, w, shape, obstacles)
-        return cost_fn
-
-    # when the strict check fails, re-solve once with a tenfold safety
-    # weight; the millimetric residual penetrations a balanced optimum leaves
-    # behind vanish once safety dominates the smoothness trade-off
-    stages = [make_stage(weights), make_stage(replace(weights, lam_s=weights.lam_s * 10.0))]
-
-    def accept(traj):
-        return continuous_check(traj, shape, grid).clear
-
-    traj, iters, converged, clear = _run_solver(spline, wps, durs, stages, budget,
-                                                accept=accept)
-    return OptOutcome(traj, converged, iters, collision_free=clear)
+    spline, x, positions, _ = _sub_geometry(sub, weights.v_max)
+    obstacles = extract_obstacles(grid, positions,
+                                  shape.circumradius + weights.d_safe + 2 * grid.resolution)
+    iterations = 0
+    # when the strict check fails, re-solve once, warm-started, with a
+    # tenfold safety weight; the millimetric residual penetrations a balanced
+    # optimum leaves behind vanish once safety dominates the smoothness
+    # trade-off
+    for w in (weights, replace(weights, lam_s=weights.lam_s * 10.0)):
+        # quadrature guidance only; the continuous check below stays strict
+        x, traj, it, converged = _solve(
+            spline, x, lambda t: se2_cost(t, w, shape, obstacles), budget)
+        iterations += it
+        clear = continuous_check(traj, shape, grid).clear
+        if clear:
+            break
+    return OptOutcome(traj, converged, iterations, collision_free=clear)
 
 
 def r2_optimize(sub, weights: Weights, budget: int) -> OptOutcome:
     """Optimize a low-risk sub-problem with residual tracking only; final
     safety is certified by the pipeline's continuous check of the returned
     sub-trajectory."""
-    start, end, wps, durs = _sub_geometry(sub, weights.v_max)
-    positions = np.array([s.position for s in sub.states])
-    yaws_raw = np.array([s.yaw for s in sub.states])
-    yaws = _junction_yaw_ramp(positions, yaws_raw)
+    spline, x, positions, yaws = _sub_geometry(sub, weights.v_max)
     fractions = _arc_fractions(positions)
-    spline = MincoSpline(start, end, len(durs))
-
-    def cost_fn(traj):
-        return r2_cost(traj, weights, positions, yaws, fractions)
-
-    traj, iters, converged, _ = _run_solver(spline, wps, durs, [cost_fn], budget)
-    return OptOutcome(traj, converged, iters)
+    _, traj, iterations, converged = _solve(
+        spline, x, lambda t: r2_cost(t, weights, positions, yaws, fractions), budget)
+    return OptOutcome(traj, converged, iterations)

@@ -117,24 +117,6 @@ def _kind_lengths(trajs: list[Trajectory], kinds: list[str]):
     return len_r2, len_se2
 
 
-def _metrics(status: str, t_total: float, t_refine: float, t_r2: float, t_se2: float,
-             t_certify: float, tried: int, survived: int, len_r2: float = 0.0,
-             len_se2: float = 0.0) -> dict:
-    return {
-        "status": status,
-        "time.path_refine": t_refine,
-        "time.r2": t_r2,
-        "time.se2": t_se2,
-        "time.certify": t_certify,
-        "time.total": t_total,
-        "len.r2": len_r2,
-        "len.se2": len_se2,
-        "len.total": len_r2 + len_se2,
-        "candidates.tried": tried,
-        "candidates.survived": survived,
-    }
-
-
 def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
          config: PlanConfig | None = None, clock=time.perf_counter) -> PlanResult:
     """Full coarse-to-fine plan from a start pose to a goal pose.
@@ -148,12 +130,25 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         config = PlanConfig()
     t_begin = clock()
     weights = config.weights
-    result = PlanResult(status="no-path")
+    # each entry is a running total until finish() adds status, time.total
+    # and len.total
+    result = PlanResult(status="no-path", metrics={
+        "time.path_refine": 0.0, "time.r2": 0.0, "time.se2": 0.0, "time.certify": 0.0,
+        "len.r2": 0.0, "len.se2": 0.0, "candidates.tried": 0, "candidates.survived": 0})
+    metrics = result.metrics
 
-    def finish(t_refine=0.0, t_r2=0.0, t_se2=0.0, t_certify=0.0, tried=0, survived=0,
-               len_r2=0.0, len_se2=0.0):
-        result.metrics = _metrics(result.status, clock() - t_begin, t_refine, t_r2,
-                                  t_se2, t_certify, tried, survived, len_r2, len_se2)
+    def timed(key, fn, *args, **kwargs):
+        """fn(*args, **kwargs), its clock time added to metrics[key]."""
+        t1 = clock()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            metrics[key] += clock() - t1
+
+    def finish():
+        metrics["status"] = result.status
+        metrics["time.total"] = clock() - t_begin
+        metrics["len.total"] = metrics["len.r2"] + metrics["len.se2"]
         return result
 
     r_in = inscribed_radius(shape)
@@ -174,11 +169,13 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
                                 connection_radius=config.connection_radius)
     except InfeasibleEndpointError as e:
         result.failures.append(str(e))
-        return finish(t_refine=clock() - t0)
+        metrics["time.path_refine"] = clock() - t0
+        return finish()
     raw_paths = extract_paths(roadmap, max_paths=config.max_paths)
     if not raw_paths:
         result.failures.append("no roadmap path between start and goal")
-        return finish(t_refine=clock() - t0)
+        metrics["time.path_refine"] = clock() - t0
+        return finish()
     taut = [simplify_path(p, inflated) for p in raw_paths]
     candidates = dedup_paths(taut, inflated, config.max_candidates)
     sequences = []  # (candidate index, sequence)
@@ -188,26 +185,10 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
             sequences.append((i, generate_sequence(waypoints, kernel, grid)))
         except ValueError as e:
             result.failures.append(f"candidate {i}: front-end failure: {e}")
-    t_refine = clock() - t0
+    metrics["time.path_refine"] = clock() - t0
+    metrics["candidates.tried"] = len(sequences)
 
-    time_se2 = 0.0
-    time_r2 = 0.0
-    time_certify = 0.0
     survivors = []
-
-    def solve(sub, in_se2):
-        nonlocal time_r2, time_se2
-        t1 = clock()
-        try:
-            if in_se2:
-                return se2_optimize(sub, weights, shape, grid, budget=config.se2_budget)
-            return r2_optimize(sub, weights, budget=config.r2_budget)
-        finally:
-            if in_se2:
-                time_se2 += clock() - t1
-            else:
-                time_r2 += clock() - t1
-
     for cand_id, seq in sequences:
         # subs come in sequence order; kinds and trajs are indexed like them
         subs = extract_subproblems(seq, shape, grid, weights.d_safe)
@@ -219,14 +200,14 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         # an R^2 one is checked here and re-solved in SE(2) on a hit
         for i, sub in sorted(enumerate(subs), key=lambda e: e[1].kind != "SE2"):
             try:
-                out = solve(sub, sub.kind == "SE2")
                 if sub.kind == "R2":
-                    t1 = clock()
-                    clear = continuous_check(out.trajectory, shape, grid).clear
-                    time_certify += clock() - t1
-                    if not clear:
+                    out = timed("time.r2", r2_optimize, sub, weights, budget=config.r2_budget)
+                    if not timed("time.certify", continuous_check, out.trajectory, shape,
+                                 grid).clear:
                         kinds[i] = "R2-reoptimized"
-                        out = solve(sub, True)
+                if kinds[i] != "R2":
+                    out = timed("time.se2", se2_optimize, sub, weights, shape, grid,
+                                budget=config.se2_budget)
             except DegenerateInputError as e:
                 failed = f"degenerate {sub.kind} sub-problem: {e}"
                 break
@@ -246,9 +227,10 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         effort = minco.control_effort(spliced)
         survivors.append((effort, cand_id, spliced, kinds, trajs))
 
+    metrics["candidates.survived"] = len(survivors)
     if not survivors:
         result.status = "all-candidates-failed" if sequences else "no-path"
-        return finish(t_refine, time_r2, time_se2, time_certify, tried=len(sequences))
+        return finish()
     survivors.sort(key=lambda s: (s[0], s[1]))
     _, _, traj, kinds, trajs = survivors[0]
     result.status = "success"
@@ -258,7 +240,5 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     # the sweep of a concatenation is the union of its pieces' sweeps
     result.certificate = CollisionReport("clear")
     result.survivor_provenance = [list(s[3]) for s in survivors]
-    len_r2, len_se2 = _kind_lengths(trajs, kinds)
-    return finish(t_refine, time_r2, time_se2, time_certify, tried=len(sequences),
-                  survived=len(survivors), len_r2=len_r2, len_se2=len_se2)
-
+    metrics["len.r2"], metrics["len.se2"] = _kind_lengths(trajs, kinds)
+    return finish()

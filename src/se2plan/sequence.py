@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridmap import OccupancyGrid
+from .gridmap import OccupancyGrid, extract_obstacles
 from .shape import RobotKernel, RobotShape, kernel_collides
 from .topo import discretize_polyline
 
@@ -114,12 +114,10 @@ def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyG
     risky = np.array([s.risk == HIGH_RISK for s in seq.states])
     if not np.any(risky):
         return [SubProblem("R2", tuple(seq.states))]
-    occupied = grid.occupied_centers()
-    reach2 = (shape.circumradius + d_safe) ** 2
 
     def good_junction(state):
-        d = occupied - state.position
-        near = occupied[np.einsum("ij,ij->i", d, d) < reach2]
+        # a centre beyond circumradius + d_safe clears the body by d_safe
+        near = extract_obstacles(grid, state.position, shape.circumradius + d_safe)
         if near.shape[0] == 0:
             return True
         values, _ = shape.sdf_at_pose(near, state.position, state.yaw)

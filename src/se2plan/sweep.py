@@ -150,12 +150,7 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid) -
     """
     ts = np.linspace(0.0, traj.total_duration, 256)
     pos = traj.eval_many(ts, order=0)[:, :2]
-    pad = shape.circumradius + grid.resolution
-    lo = pos.min(axis=0) - pad
-    hi = pos.max(axis=0) + pad
-    center = (lo + hi) / 2
-    half = float(np.max(hi - center))
-    points = extract_obstacles(grid, center, half) if half > 0 else np.zeros((0, 2))
+    points = extract_obstacles(grid, pos, shape.circumradius + grid.resolution)
     if points.shape[0] == 0:
         return CollisionReport("clear")
     spacing = grid.resolution / 2  # SDF spacing target: half a map cell

@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from se2plan.gridmap import (MalformedMapError, OccupancyGrid, dump_map,
-                             extract_obstacles, inflate, is_visible, load_map,
-                             visibility)
+                             extract_obstacles, inflate, is_visible, load_map)
 
 from conftest import grid_from_cells
 
@@ -126,19 +127,44 @@ def test_extract_obstacles():
         extract_obstacles(grid, (0, 0), 0.0)
 
 
+def test_extract_obstacles_around_several_positions():
+    grid = grid_from_cells(np.ones((10, 10), dtype=bool))
+    positions = np.array([[0.25, 0.25], [0.45, 0.35], [0.3, 0.3]])
+    pts = extract_obstacles(grid, positions, 0.12)
+    # the square around the positions' bounding box: x in [0.13, 0.57],
+    # y in [0.08, 0.52]
+    expected = [(x, y) for x in (0.15, 0.25, 0.35, 0.45, 0.55)
+                for y in (0.15, 0.25, 0.35, 0.45)]
+    assert sorted(map(tuple, np.round(pts, 9))) == sorted(expected)
+    # every centre within pad of some position is in the square
+    centers = grid.occupied_centers()
+    near = np.min(np.linalg.norm(centers[:, None] - positions, axis=2), axis=1) <= 0.12
+    assert {tuple(c) for c in centers[near]} <= {tuple(p) for p in pts}
+
+
+def test_replaced_grid_does_not_share_the_occupied_centre_cache():
+    grid = load_map(MAP_3X3)
+    assert grid.occupied_centers().shape == (1, 2)  # fills the cache
+    cleared = replace(grid, cells=np.zeros((3, 3), dtype=bool))
+    assert cleared.occupied_centers().shape == (0, 2)
+    full = replace(grid, cells=np.ones((3, 3), dtype=bool))
+    assert full.occupied_centers().shape == (9, 2)
+    assert grid.occupied_centers().shape == (1, 2)
+
+
 def test_visibility_trivial_cases():
     grid = load_map(MAP_3X3)
     p = np.array([0.05, 0.05])
-    assert visibility(grid, p, p) is None
+    assert is_visible(grid, p, p)
     assert is_visible(grid, (0.05, 0.05), (0.25, 0.05))  # free bottom row
 
 
-def test_visibility_blocked_returns_first_wall_cell():
+def test_visibility_blocked_by_a_wall():
     cells = np.zeros((5, 5), dtype=bool)
     cells[:, 2] = True
     grid = grid_from_cells(cells, resolution=1.0)
-    hit = visibility(grid, (0.5, 2.5), (4.5, 2.5))
-    assert np.allclose(hit, [2.5, 2.5])
+    assert not is_visible(grid, (0.5, 2.5), (4.5, 2.5))
+    assert is_visible(grid, (0.5, 0.5), (1.5, 4.5))  # beside the wall
 
 
 def test_visibility_symmetric_verdict(rng):
@@ -162,7 +188,7 @@ def test_visibility_thin_diagonal_wall_not_tunneled():
 def test_visibility_out_of_bounds_error():
     grid = load_map(MAP_3X3)
     with pytest.raises(ValueError):
-        visibility(grid, (-1.0, 0.0), (0.05, 0.05))
+        is_visible(grid, (-1.0, 0.0), (0.05, 0.05))
 
 
 def test_grid_validation():

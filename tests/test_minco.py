@@ -185,6 +185,29 @@ def test_serialization_round_trip(rng):
     assert np.array_equal(again.coeffs, traj.coeffs)
 
 
+def test_trajectory_rejects_non_finite_input():
+    for durations, coeffs in ((np.array([np.nan]), np.zeros((1, 6, 3))),
+                              (np.array([np.inf]), np.zeros((1, 6, 3))),
+                              (np.ones(1), np.full((1, 6, 3), np.nan)),
+                              (np.ones(1), np.full((1, 6, 3), -np.inf))):
+        with pytest.raises(ValueError):
+            Trajectory(durations, coeffs)
+
+
+def test_from_text_rejects_truncated_and_non_numeric_documents(rng):
+    _, traj = construct(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)),
+                        rng.standard_normal((1, 3)), rng.uniform(0.5, 1.5, 2))
+    lines = traj.to_text().splitlines()
+    truncated = ["", lines[0], "\n".join(lines[:2]), "\n".join(lines[:-1]),
+                 "\n".join(lines[:9])]
+    non_numeric = ["\n".join(lines).replace("T:", "T: x", 1),
+                   "\n".join(lines).replace("pieces: 2", "pieces: two"),
+                   "\n".join(lines[:-1] + ["c: 1 2 nope"])]
+    for text in truncated + non_numeric:
+        with pytest.raises(ValueError):
+            Trajectory.from_text(text)
+
+
 def test_eval_many_matches_the_power_basis(rng):
     m = 3
     _, traj = construct(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import se2plan.optimize
 from se2plan.minco import MincoSpline, construct, control_effort
 from se2plan.optimize import (DegenerateInputError, Weights, lbfgs, r2_cost, r2_optimize,
                               se2_cost, se2_optimize, smoothing_grad)
 from se2plan.sequence import HIGH_RISK, LOW_RISK, MotionState, SubProblem
-from se2plan.sweep import continuous_check
+from se2plan.sweep import CollisionReport, continuous_check
 
 from conftest import empty_grid, grid_from_cells
 
@@ -90,6 +91,25 @@ def test_lbfgs_rosenbrock():
     x, f, it, converged = lbfgs(fun, np.array([-1.2, 1.0]), max_iter=500)
     assert f < 1e-6
     assert np.allclose(x, [1.0, 1.0], atol=1e-2)
+
+
+def test_lbfgs_failed_line_search_returns_the_last_accepted_point():
+    # an anisotropic quadratic whose value turns NaN after four evaluations,
+    # so every trial step of the line search after them fails
+    points = []
+
+    def fun(x):
+        points.append(x.copy())
+        f = (x[0] - 3.0) ** 2 + 10 * (x[1] + 1.0) ** 2
+        g = np.array([2 * (x[0] - 3.0), 20 * (x[1] + 1.0)])
+        return (f if len(points) <= 4 else float("nan")), g
+
+    x, f, it, converged = lbfgs(fun, np.zeros(2), max_iter=200)
+    assert not converged
+    assert np.isfinite(f)
+    assert f == (x[0] - 3.0) ** 2 + 10 * (x[1] + 1.0) ** 2
+    assert any(np.array_equal(x, p) for p in points[1:4])  # an accepted step
+    assert it < 200
 
 
 def random_se2_setup(rng, n_pieces=2):
@@ -289,3 +309,67 @@ def test_se2_cost_memory_stays_below_the_per_piece_loop(slim_rect):
     finally:
         tracemalloc.stop()
     assert peak < 4.9e6
+
+
+@pytest.fixture
+def se2_rungs(monkeypatch, slim_rect):
+    """se2_optimize on a free corridor with its continuous check returning the
+    verdicts in `verdicts` in turn; records the lam_s of every se2_cost
+    evaluation and the iterations of every lbfgs solve."""
+    record = {"lam_s": [], "iterations": [], "verdicts": []}
+    cost = se2plan.optimize.se2_cost
+    solve = se2plan.optimize.lbfgs
+
+    def recording_cost(traj, weights, *args):
+        record["lam_s"].append(weights.lam_s)
+        return cost(traj, weights, *args)
+
+    def recording_lbfgs(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        record["iterations"].append(out[2])
+        return out
+
+    def scripted_check(*args):
+        return CollisionReport("clear" if record["verdicts"].pop(0) else "colliding")
+
+    monkeypatch.setattr(se2plan.optimize, "se2_cost", recording_cost)
+    monkeypatch.setattr(se2plan.optimize, "continuous_check", scripted_check)
+    monkeypatch.setattr(se2plan.optimize, "lbfgs", recording_lbfgs)
+    positions = np.stack([np.linspace(0.6, 2.4, 12), np.full(12, 1.5)], axis=1)
+    sub = make_sub("SE2", positions, risks=[LOW_RISK] * 12)
+
+    def run(verdicts):
+        record["lam_s"].clear()
+        record["iterations"].clear()
+        record["verdicts"] = list(verdicts)
+        return se2_optimize(sub, Weights(), slim_rect, empty_grid(30), budget=30)
+    return record, run
+
+
+def test_se2_optimize_clear_first_solve_is_not_re_solved(se2_rungs):
+    record, run = se2_rungs
+    out = run([True])
+    assert out.collision_free is True
+    assert set(record["lam_s"]) == {Weights().lam_s}
+    assert record["verdicts"] == []
+    assert out.iterations == record["iterations"][0] and len(record["iterations"]) == 1
+
+
+def test_se2_optimize_re_solves_a_rejected_solve_with_tenfold_safety(se2_rungs):
+    record, run = se2_rungs
+    lam_s = Weights().lam_s
+    out = run([False, True])
+    assert out.collision_free is True
+    n_first = record["lam_s"].index(10 * lam_s)
+    assert set(record["lam_s"][:n_first]) == {lam_s}
+    assert set(record["lam_s"][n_first:]) == {10 * lam_s}
+    assert len(record["iterations"]) == 2
+    assert out.iterations == sum(record["iterations"])
+
+
+def test_se2_optimize_rejected_twice_is_not_collision_free(se2_rungs):
+    record, run = se2_rungs
+    out = run([False, False])
+    assert out.collision_free is False
+    assert record["lam_s"][-1] == 10 * Weights().lam_s
+    assert record["verdicts"] == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import se2plan.topo
-from se2plan.gridmap import inflate, visibility
+from se2plan.gridmap import inflate, is_visible
 from se2plan.shape import build_kernel, inscribed_radius, kernel_collides, rectangle
 from se2plan.topo import (InfeasibleEndpointError, Roadmap, build_roadmap, dedup_paths,
                           discretize_polyline, extract_paths, shortcut, simplify_path,
@@ -119,12 +119,12 @@ def _greedy_walk(path, inflated):
         back = kept[-1]
         if np.linalg.norm(p_d - back) < 1e-12:
             continue
-        if visibility(inflated, back, p_d) is None:
+        if is_visible(inflated, back, p_d):
             last_visible = p_d
             continue
         if np.linalg.norm(last_visible - back) > 1e-12:
             kept.append(last_visible)
-        last_visible = p_d if visibility(inflated, kept[-1], p_d) is None else kept[-1]
+        last_visible = p_d if is_visible(inflated, kept[-1], p_d) else kept[-1]
     if np.linalg.norm(dense[-1] - kept[-1]) > 1e-12:
         kept.append(dense[-1])
     return np.array(kept)
