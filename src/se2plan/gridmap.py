@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 
 class MalformedMapError(ValueError):
@@ -60,9 +59,6 @@ class OccupancyGrid:
         """Cell index (ix, iy) containing world point p."""
         u = (np.asarray(p, dtype=float) - self.origin) / self.resolution
         return int(np.floor(u[0])), int(np.floor(u[1]))
-
-    def cell_center(self, ix: int, iy: int) -> np.ndarray:
-        return self.origin + (np.array([ix, iy], dtype=float) + 0.5) * self.resolution
 
     def in_bounds(self, p) -> bool:
         ix, iy = self.world_to_cell(p)
@@ -153,8 +149,15 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     if r_cells == 0:
         return OccupancyGrid(grid.resolution, grid.origin, grid.cells)
     dy, dx = np.mgrid[-r_cells : r_cells + 1, -r_cells : r_cells + 1]
-    structure = (dx * dx + dy * dy) * grid.resolution**2 <= radius**2 + 1e-12
-    cells = ndimage.binary_dilation(grid.cells, structure=structure)
+    disc = (dx * dx + dy * dy) * grid.resolution**2 <= radius**2 + 1e-12
+    # binary dilation by the disc, cells beyond the map counting free: OR
+    # the shifted views of a zero-padded copy, one view per disc offset
+    h, w = grid.cells.shape
+    padded = np.zeros((h + 2 * r_cells, w + 2 * r_cells), dtype=bool)
+    padded[r_cells : r_cells + h, r_cells : r_cells + w] = grid.cells
+    cells = np.zeros((h, w), dtype=bool)
+    for oy, ox in np.argwhere(disc):
+        cells |= padded[oy : oy + h, ox : ox + w]
     return OccupancyGrid(grid.resolution, grid.origin, cells)
 
 

@@ -171,7 +171,7 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         result.failures.append(str(e))
         metrics["time.path_refine"] = clock() - t0
         return finish()
-    raw_paths = extract_paths(roadmap, max_paths=config.max_paths)
+    raw_paths = extract_paths(roadmap, inflated, max_paths=config.max_paths)
     if not raw_paths:
         result.failures.append("no roadmap path between start and goal")
         metrics["time.path_refine"] = clock() - t0

@@ -1,5 +1,6 @@
-"""Topological front end: roadmap construction on the inflated grid,
-penalized-shortest-path multi-path extraction, uniform-visibility-deformation
+"""Topological front end: a lazy roadmap on the inflated grid,
+penalized-shortest-path multi-path extraction that checks an edge's
+visibility only when a shortest path uses it, uniform-visibility-deformation
 path filtering, and a grid-resolution visibility shortcut that yields
 waypoint positions.  Everything here is grid and visibility on the inflated
 map: the motion sequence picks every heading and labels where the body does
@@ -13,12 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
-from scipy.spatial import cKDTree
 
 from .gridmap import OccupancyGrid, is_visible
 
 # edge-weight factor on a found path's interior nodes in later extraction rounds
 _AVOID_FACTOR = 10.0
+# rows of the pairwise distance block in the candidate-pair search
+_PAIR_BLOCK = 256
+# visibility status of a candidate edge
+_UNCHECKED, _VALID, _INVALID = 0, 1, 2
 
 
 class InfeasibleEndpointError(ValueError):
@@ -28,24 +32,47 @@ class InfeasibleEndpointError(ValueError):
 @dataclass
 class Roadmap:
     nodes: np.ndarray  # (N, 2); node 0 = start, node 1 = goal
-    adjacency: list  # adjacency[i] = sorted list of neighbor indices
+    # adjacency[i] = sorted indices of i's candidate neighbours: the nodes
+    # within the connection radius, visibility not yet checked (symmetric)
+    adjacency: list
+
+
+def candidate_neighbours(nodes: np.ndarray, radius: float) -> list:
+    """Per node, the sorted indices of the other nodes at most `radius` away
+    (squared distances compared, in blocks of _PAIR_BLOCK rows)."""
+    nodes = np.asarray(nodes, dtype=float)
+    r2 = radius * radius
+    out = []
+    for lo in range(0, len(nodes), _PAIR_BLOCK):
+        block = nodes[lo:lo + _PAIR_BLOCK]
+        dx = block[:, None, 0] - nodes[None, :, 0]
+        dy = block[:, None, 1] - nodes[None, :, 1]
+        near = dx * dx + dy * dy <= r2
+        near[np.arange(len(block)), np.arange(lo, lo + len(block))] = False
+        out.extend(np.flatnonzero(row) for row in near)
+    return out
 
 
 def build_roadmap(inflated: OccupancyGrid, start, goal, budget: int, rng,
                   connection_radius: float | None = None) -> Roadmap:
-    """Uniform free-space PRM with visibility edges within a radius (default:
-    a quarter of the map diagonal), sampled from the numpy Generator `rng`.
+    """Uniform free-space PRM sampled from the numpy Generator `rng`, with
+    candidate edges between nodes within a radius (default: a quarter of the
+    map diagonal).  No edge is checked for visibility here: extract_paths
+    checks the ones its shortest paths use.
 
     Node 0 is the start, node 1 the goal; both must be free in the inflated
     grid.
     """
+    if connection_radius is None:
+        connection_radius = 0.25 * inflated.diagonal
+    # written as `not ...` so that NaN fails too
+    elif not connection_radius > 0:
+        raise ValueError(f"connection_radius must be > 0, got {connection_radius}")
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
     for name, p in (("start", start), ("goal", goal)):
         if not inflated.in_bounds(p) or inflated.is_occupied(p):
             raise InfeasibleEndpointError(f"{name} point {p} is occupied in the inflated grid")
-    if connection_radius is None:
-        connection_radius = 0.25 * inflated.diagonal
     lo = inflated.origin
     hi = inflated.origin + np.array([inflated.width, inflated.height]) * inflated.resolution
     samples = [start, goal]
@@ -56,55 +83,79 @@ def build_roadmap(inflated: OccupancyGrid, start, goal, budget: int, rng,
         if not inflated.is_occupied(p):
             samples.append(p)
     nodes = np.array(samples)
-    tree = cKDTree(nodes)
-    pairs = sorted(tree.query_pairs(connection_radius))
-    adjacency = [[] for _ in range(len(nodes))]
-    for i, j in pairs:
-        if is_visible(inflated, nodes[i], nodes[j]):
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-    return Roadmap(nodes=nodes, adjacency=[sorted(a) for a in adjacency])
+    return Roadmap(nodes=nodes, adjacency=candidate_neighbours(nodes, connection_radius))
 
 
-def extract_paths(roadmap: Roadmap, max_paths: int) -> list[np.ndarray]:
-    """Up to max_paths diverse simple start->goal point paths.
+def extract_paths(roadmap: Roadmap, inflated: OccupancyGrid, max_paths: int) -> list[np.ndarray]:
+    """Up to max_paths diverse simple start->goal point paths over the
+    roadmap's visible edges.
 
     Repeated shortest-path extraction with node-avoidance penalties: after
     each round every edge touching the found path's interior is penalized by
     _AVOID_FACTOR, so later rounds prefer genuinely different corridors instead
     of small variations of the first one.  Returns [] when start and goal are
     disconnected.
+
+    Edges are checked lazily (Lazy PRM): a round runs Dijkstra over every
+    candidate edge not yet found blocked, checks the unchecked edges of the
+    path it returns on `inflated`, and reruns after removing any blocked one.
+    A path made only of visible edges is shortest in a graph that contains
+    the visible graph, so it is also shortest in the visible graph itself.
     """
     if max_paths < 1:
         raise ValueError("max_paths must be >= 1")
-    n = len(roadmap.nodes)
-    rows, cols = [], []
-    for i, nbrs in enumerate(roadmap.adjacency):
-        rows.extend([i] * len(nbrs))
-        cols.extend(nbrs)
-    if not rows:
+    nodes = roadmap.nodes
+    n = len(nodes)
+    lengths = np.array([len(a) for a in roadmap.adjacency], dtype=np.int64)
+    if not lengths.any():
         return []
-    rows = np.array(rows)
-    cols = np.array(cols)
-    base = np.linalg.norm(roadmap.nodes[rows] - roadmap.nodes[cols], axis=1)
+    # one CSR graph holding both arcs of every candidate edge; its data is
+    # rewritten in place, so that no round or rerun rebuilds it
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    cols = np.concatenate(roadmap.adjacency).astype(np.int64)
+    rows = np.repeat(np.arange(n), lengths)
+    graph = csr_matrix((np.empty(len(cols)), cols, indptr), shape=(n, n))
+    base = np.linalg.norm(nodes[rows] - nodes[cols], axis=1)
+    # edge e joins lo[e] < hi[e]; its arcs sit at data[fwd[e]] and data[bwd[e]]
+    fwd = np.flatnonzero(rows < cols)
+    lo, hi = rows[fwd], cols[fwd]
+    arc_key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    edge_of_arc = np.searchsorted(arc_key[fwd], arc_key)
+    bwd = np.empty_like(fwd)
+    bwd[edge_of_arc[rows > cols]] = np.flatnonzero(rows > cols)
+    status = np.zeros(len(fwd), dtype=np.int8)
+
     factor = np.ones(n)
     paths: list[np.ndarray] = []
     seen: set = set()
     for _ in range(max_paths):
-        weights = base * np.maximum(factor[rows], factor[cols])
-        graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
-        dist, pred = dijkstra(graph, directed=False, indices=0,
-                              return_predecessors=True)
-        if not np.isfinite(dist[1]):
-            break
-        path = [1]
-        while path[-1] != 0:
-            path.append(int(pred[path[-1]]))
-        path.reverse()
+        graph.data[:] = base * np.maximum(factor[rows], factor[cols])
+        graph.data[status[edge_of_arc] == _INVALID] = np.inf
+        while True:
+            dist, pred = dijkstra(graph, directed=True, indices=0,
+                                  return_predecessors=True)
+            if not np.isfinite(dist[1]):
+                return paths
+            path = [1]
+            while path[-1] != 0:
+                path.append(int(pred[path[-1]]))
+            path.reverse()
+            blocked = False
+            for a, b in zip(path[:-1], path[1:]):
+                pos = indptr[a] + np.searchsorted(cols[indptr[a]:indptr[a + 1]], b)
+                e = edge_of_arc[pos]
+                if status[e] == _UNCHECKED:
+                    status[e] = (_VALID if is_visible(inflated, nodes[lo[e]], nodes[hi[e]])
+                                 else _INVALID)
+                if status[e] == _INVALID:
+                    graph.data[fwd[e]] = graph.data[bwd[e]] = np.inf
+                    blocked = True
+            if not blocked:
+                break
         key = tuple(path)
         if key not in seen:
             seen.add(key)
-            paths.append(roadmap.nodes[np.array(path)].copy())
+            paths.append(nodes[np.array(path)].copy())
         if len(path) <= 2:
             break
         factor[path[1:-1]] *= _AVOID_FACTOR

@@ -14,6 +14,11 @@ def grid_from_cells(cells, resolution=0.1, origin=(0.0, 0.0)) -> OccupancyGrid:
                          np.asarray(cells, dtype=bool))
 
 
+def cell_center(grid: OccupancyGrid, ix: int, iy: int) -> np.ndarray:
+    """World coordinate of the center of cell (ix, iy)."""
+    return grid.origin + (np.array([ix, iy], dtype=float) + 0.5) * grid.resolution
+
+
 def empty_grid(n=20, resolution=0.1) -> OccupancyGrid:
     return grid_from_cells(np.zeros((n, n), dtype=bool), resolution)
 

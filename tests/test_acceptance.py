@@ -21,7 +21,8 @@ from se2plan.shape import (build_kernel, inscribed_radius, kernel_collides, poly
 from se2plan.sweep import continuous_check, swept_sdf_batch
 from se2plan.topo import build_roadmap, dedup_paths, extract_paths, simplify_path
 
-from conftest import baffle_grid, random_obstacle_grid, random_simple_polygon, wall_grid
+from conftest import (baffle_grid, cell_center, random_obstacle_grid, random_simple_polygon,
+                      wall_grid)
 from test_shape import brute_force_sdf
 
 
@@ -213,7 +214,7 @@ def test_criterion_05_kernel_convolution_oracle():
         p = rng.uniform(1.0, 2.0, 2)
         k = int(rng.integers(0, 12))
         ix, iy = grid.world_to_cell(p)
-        anchor = grid.cell_center(ix, iy)
+        anchor = cell_center(grid, ix, iy)
         body = (occ - anchor) @ rotation(kernel.yaw_of(k))
         expected = (bool(np.any(polygon_sdf(shape.vertices, body + shape.reference) < 0))
                     if occ.size else False)
@@ -224,7 +225,7 @@ def _front_end_classes(grid, shape, seed):
     inflated = inflate(grid, inscribed_radius(shape))
     roadmap = build_roadmap(inflated, (0.5, 1.5), (2.5, 1.5), budget=300,
                             rng=np.random.default_rng(seed))
-    paths = extract_paths(roadmap, max_paths=10)
+    paths = extract_paths(roadmap, inflated, max_paths=10)
     taut = [simplify_path(p, inflated) for p in paths]
     return len(dedup_paths(taut, inflated, len(taut)))
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import se2plan
 
 
@@ -11,3 +15,12 @@ def test_star_import_binds_the_export_list():
     namespace = {}
     exec("from se2plan import *", namespace)
     assert set(se2plan.__all__) <= set(namespace)
+
+
+def test_import_loads_no_spatial_or_image_module():
+    code = ("import sys, se2plan, se2plan.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.spatial', 'scipy.ndimage'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"

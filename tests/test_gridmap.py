@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from se2plan.gridmap import (MalformedMapError, OccupancyGrid, dump_map,
                              extract_obstacles, inflate, is_visible, load_map)
 
-from conftest import grid_from_cells
+from conftest import cell_center, grid_from_cells
 
 MAP_3X3 = """\
 resolution: 0.1
@@ -66,7 +67,7 @@ def test_world_cell_round_trip():
     grid = load_map(MAP_3X3)
     for ix in range(3):
         for iy in range(3):
-            center = grid.cell_center(ix, iy)
+            center = cell_center(grid, ix, iy)
             assert grid.world_to_cell(center) == (ix, iy)
 
 
@@ -112,6 +113,23 @@ def test_inflate_monotone_and_matches_brute_force(rng):
                         d2 = ((occ[:, 0] - iy) ** 2 + (occ[:, 1] - ix) ** 2) * 0.1**2
                         expected[iy, ix] = np.min(d2) <= radius**2 + 1e-12
             assert np.array_equal(out.cells, expected)
+
+
+def test_inflate_matches_binary_dilation(rng):
+    for _ in range(30):
+        h, w = (int(v) for v in rng.integers(1, 40, 2))
+        resolution = float(rng.choice([0.05, 0.1, 0.25]))
+        cells = rng.random((h, w)) < rng.uniform(0.0, 0.2)
+        grid = grid_from_cells(cells, resolution=resolution)
+        radius = float(rng.uniform(0.0, 12 * resolution))
+        r_cells = int(np.floor(radius / resolution + 1e-9))
+        out = inflate(grid, radius).cells
+        if r_cells == 0:
+            assert np.array_equal(out, cells)
+            continue
+        dy, dx = np.mgrid[-r_cells : r_cells + 1, -r_cells : r_cells + 1]
+        disc = (dx * dx + dy * dy) * resolution**2 <= radius**2 + 1e-12
+        assert np.array_equal(out, ndimage.binary_dilation(cells, structure=disc))
 
 
 def test_extract_obstacles():

@@ -6,7 +6,7 @@ from se2plan.shape import (GeometryError, RobotShape, build_kernel, inscribed_ra
                            kernel_collides, parse_shape, polygon_sdf, polygon_sdf_gradient,
                            rectangle, rotation)
 
-from conftest import grid_from_cells, random_simple_polygon
+from conftest import cell_center, grid_from_cells, random_simple_polygon
 
 
 def brute_force_sdf(vertices, q):
@@ -247,9 +247,9 @@ def test_kernel_collides_rejects_a_kernel_for_other_cells():
     cells = np.zeros((40, 40), dtype=bool)
     cells[20, 25] = True  # centre (1.275, 1.025)
     fine = grid_from_cells(cells, resolution=0.05)
-    p = fine.cell_center(20, 20)
+    p = cell_center(fine, 20, 20)
     # the obstacle lies 5 cm inside the body at yaw 0
-    inside = polygon_sdf(shape.vertices, fine.cell_center(25, 20)[None] - p)[0]
+    inside = polygon_sdf(shape.vertices, cell_center(fine, 25, 20)[None] - p)[0]
     assert inside == pytest.approx(-0.05)
     assert kernel_collides(build_kernel(shape, 18, 0.05), fine, p, 0)
     with pytest.raises(ValueError, match="cells"):
@@ -267,7 +267,7 @@ def _assert_kernel_matches_sdf(shape, rng):
         p = rng.uniform(1.0, 2.0, 2)
         k = int(rng.integers(0, 12))
         ix, iy = grid.world_to_cell(p)
-        anchor = grid.cell_center(ix, iy)
+        anchor = cell_center(grid, ix, iy)
         body = (occ - anchor) @ rotation(kernel.yaw_of(k))
         expected = (bool(np.any(polygon_sdf(shape.vertices, body + shape.reference) < 0))
                     if occ.size else False)

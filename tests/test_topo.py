@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 import se2plan.topo
 from se2plan.gridmap import inflate, is_visible
 from se2plan.shape import build_kernel, inscribed_radius, kernel_collides, rectangle
-from se2plan.topo import (InfeasibleEndpointError, Roadmap, build_roadmap, dedup_paths,
-                          discretize_polyline, extract_paths, shortcut, simplify_path,
-                          uvd_equivalent)
+from se2plan.topo import (InfeasibleEndpointError, Roadmap, build_roadmap, candidate_neighbours,
+                          dedup_paths, discretize_polyline, extract_paths, shortcut,
+                          simplify_path, uvd_equivalent)
 
-from conftest import box_grid, empty_grid, grid_from_cells, random_obstacle_grid, wall_grid
+from conftest import (box_grid, cell_center, empty_grid, grid_from_cells, random_obstacle_grid,
+                      wall_grid)
 
 
 def test_build_roadmap_direct_connection():
@@ -18,7 +22,7 @@ def test_build_roadmap_direct_connection():
     assert np.allclose(rm.nodes[0], [0.3, 0.3])
     assert np.allclose(rm.nodes[1], [1.7, 1.7])
     # start and goal are mutually reachable (direct edge or via samples)
-    assert extract_paths(rm, max_paths=1)
+    assert extract_paths(rm, grid, max_paths=1)
 
 
 def test_build_roadmap_occupied_endpoint():
@@ -31,14 +35,14 @@ def test_roadmap_disconnected_by_full_wall():
     grid = wall_grid(30, wall_ix=15, gaps=())
     rm = build_roadmap(grid, (0.5, 1.5), (2.5, 1.5), budget=200,
                        rng=np.random.default_rng(1))
-    assert extract_paths(rm, max_paths=5) == []
+    assert extract_paths(rm, grid, max_paths=5) == []
 
 
 def test_extract_paths_diverse_square():
     # four corners of a square; two routes around it
     nodes = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
     rm = Roadmap(nodes=nodes, adjacency=[[2, 3], [2, 3], [0, 1], [0, 1]])
-    paths = extract_paths(rm, max_paths=4)
+    paths = extract_paths(rm, empty_grid(30), max_paths=4)
     assert len(paths) == 2
     routes = {tuple(map(tuple, p)) for p in paths}
     assert ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0)) in routes
@@ -48,15 +52,145 @@ def test_extract_paths_diverse_square():
 def test_extract_paths_prefers_shortest_first():
     nodes = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.1], [1.0, 3.0]])
     rm = Roadmap(nodes=nodes, adjacency=[[2, 3], [2, 3], [0, 1], [0, 1]])
-    paths = extract_paths(rm, max_paths=2)
+    paths = extract_paths(rm, empty_grid(40), max_paths=2)
     assert np.allclose(paths[0][1], [1.0, 0.1])
 
 
 def test_extract_paths_direct_edge():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
     rm = Roadmap(nodes=nodes, adjacency=[[1], [0]])
-    paths = extract_paths(rm, max_paths=3)
+    paths = extract_paths(rm, empty_grid(20), max_paths=3)
     assert len(paths) == 1 and len(paths[0]) == 2
+
+
+def _eager_paths(roadmap, inflated, max_paths):
+    """Reference extraction: check every candidate pair first, then run the
+    penalized Dijkstra over the visible graph alone."""
+    nodes = roadmap.nodes
+    n = len(nodes)
+    visible = [[] for _ in range(n)]
+    for i, nbrs in enumerate(roadmap.adjacency):
+        for j in nbrs:
+            if i < j and is_visible(inflated, nodes[i], nodes[j]):
+                visible[i].append(j)
+                visible[j].append(i)
+    rows = np.array([i for i, nbrs in enumerate(visible) for _ in nbrs], dtype=int)
+    cols = np.array([j for nbrs in visible for j in sorted(nbrs)], dtype=int)
+    if not len(rows):
+        return []
+    base = np.linalg.norm(nodes[rows] - nodes[cols], axis=1)
+    factor = np.ones(n)
+    paths, seen = [], set()
+    for _ in range(max_paths):
+        weights = base * np.maximum(factor[rows], factor[cols])
+        graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
+        dist, pred = dijkstra(graph, directed=False, indices=0, return_predecessors=True)
+        if not np.isfinite(dist[1]):
+            break
+        path = [1]
+        while path[-1] != 0:
+            path.append(int(pred[path[-1]]))
+        path.reverse()
+        if tuple(path) not in seen:
+            seen.add(tuple(path))
+            paths.append(nodes[np.array(path)].copy())
+        if len(path) <= 2:
+            break
+        factor[path[1:-1]] *= 10.0
+    return paths
+
+
+def _assert_lazy_matches_eager(inflated, start, goal, budget, seed, max_paths,
+                               connection_radius=None):
+    roadmap = build_roadmap(inflated, start, goal, budget=budget,
+                            rng=np.random.default_rng(seed), connection_radius=connection_radius)
+    lazy = extract_paths(roadmap, inflated, max_paths=max_paths)
+    eager = _eager_paths(roadmap, inflated, max_paths)
+    assert len(lazy) == len(eager)
+    for a, b in zip(lazy, eager):
+        assert np.array_equal(a, b)
+    return roadmap, lazy
+
+
+def test_lazy_extraction_matches_eager_when_disconnected():
+    grid = wall_grid(30, wall_ix=15, gaps=())
+    _, lazy = _assert_lazy_matches_eager(grid, (0.5, 1.5), (2.5, 1.5), 200, 1, 5)
+    assert lazy == []
+
+
+def test_lazy_extraction_matches_eager_with_blocked_direct_edge():
+    grid = box_grid(30, box=(12, 18, 8, 22))
+    start, goal = np.array([0.5, 1.5]), np.array([2.5, 1.5])
+    roadmap, lazy = _assert_lazy_matches_eager(grid, start, goal, 150, 3, 6,
+                                               connection_radius=2.5)
+    # the direct edge is a candidate, but the box blocks it
+    assert 1 in roadmap.adjacency[0]
+    assert not is_visible(grid, start, goal)
+    assert lazy and all(len(p) > 2 for p in lazy)
+
+
+def test_lazy_extraction_matches_eager_beyond_the_corridor_count():
+    grid = wall_grid(30, wall_ix=15, gaps=((5, 10), (20, 25)))
+    _, lazy = _assert_lazy_matches_eager(grid, (0.5, 1.5), (2.5, 1.5), 200, 2, 30)
+    taut = [simplify_path(p, grid) for p in lazy]
+    assert len(dedup_paths(taut, grid, len(taut))) == 2
+
+
+def test_lazy_extraction_matches_eager_on_random_grids(rng):
+    compared = 0
+    for _ in range(20):
+        grid = random_obstacle_grid(rng, n=30, n_boxes=10, max_side=6)
+        free = np.argwhere(~grid.cells)
+        (ya, xa), (yb, xb) = free[rng.choice(len(free), 2, replace=False)]
+        _, lazy = _assert_lazy_matches_eager(
+            grid, cell_center(grid, xa, ya), cell_center(grid, xb, yb), 80,
+            int(rng.integers(1 << 16)), 8)
+        compared += len(lazy)
+    assert compared >= 20
+
+
+def test_extract_paths_checks_each_edge_at_most_once(monkeypatch):
+    grid = wall_grid(30, wall_ix=15, gaps=((5, 10), (20, 25)))
+    roadmap = build_roadmap(grid, (0.5, 1.5), (2.5, 1.5), budget=200,
+                            rng=np.random.default_rng(2))
+    checked = []
+    original = se2plan.topo.is_visible
+
+    def counting(g, a, b):
+        checked.append((tuple(a), tuple(b)))
+        return original(g, a, b)
+
+    monkeypatch.setattr(se2plan.topo, "is_visible", counting)
+    assert len(extract_paths(roadmap, grid, max_paths=10)) >= 2
+    pairs = sum(len(a) for a in roadmap.adjacency) // 2
+    assert checked
+    assert len(set(checked)) == len(checked)
+    assert len(checked) < pairs
+
+
+def test_build_roadmap_checks_no_edge(monkeypatch):
+    monkeypatch.setattr(se2plan.topo, "is_visible", lambda *args: pytest.fail("checked"))
+    roadmap = build_roadmap(box_grid(30), (0.5, 0.5), (2.5, 2.5), budget=50,
+                            rng=np.random.default_rng(0))
+    assert sum(len(a) for a in roadmap.adjacency) > 0
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan")])
+def test_build_roadmap_rejects_a_nonpositive_radius(radius):
+    with pytest.raises(ValueError, match="connection_radius"):
+        build_roadmap(empty_grid(20), (0.3, 0.3), (1.7, 1.7), budget=30,
+                      rng=np.random.default_rng(0), connection_radius=radius)
+
+
+def test_candidate_neighbours_match_kdtree_pairs(rng):
+    for n, radius in ((2, 0.5), (40, 0.3), (300, 0.15), (600, 0.08)):
+        nodes = rng.random((n, 2))
+        adjacency = candidate_neighbours(nodes, radius)
+        pairs = {(i, int(j)) for i, nbrs in enumerate(adjacency) for j in nbrs if i < j}
+        assert pairs == cKDTree(nodes).query_pairs(radius)
+        for i, nbrs in enumerate(adjacency):
+            assert np.all(np.diff(nbrs) > 0)
+            assert all(i in adjacency[j] for j in nbrs)
 
 
 def test_discretize_polyline():
@@ -140,9 +274,9 @@ def test_shortcut_matches_the_greedy_walk(rng):
         if len(free) < 2:
             continue
         (ya, xa), (yb, xb) = free[rng.choice(len(free), 2, replace=False)]
-        start, goal = inflated.cell_center(xa, ya), inflated.cell_center(xb, yb)
+        start, goal = cell_center(inflated, xa, ya), cell_center(inflated, xb, yb)
         roadmap = build_roadmap(inflated, start, goal, budget=60, rng=rng)
-        for raw in extract_paths(roadmap, max_paths=4):
+        for raw in extract_paths(roadmap, inflated, max_paths=4):
             for path in (raw, simplify_path(raw, inflated)):
                 assert np.array_equal(shortcut(path, inflated), _greedy_walk(path, inflated))
                 compared += 1
