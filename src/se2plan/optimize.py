@@ -11,6 +11,7 @@ spline coefficients and durations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,7 +87,9 @@ class OptOutcome:
     verdict of the zero-margin continuous check of the trajectory.  An SE(2)
     solve that fails its check is re-solved once, warm-started, with a
     tenfold safety weight; the verdict is that of the last solve.  The cost
-    terms are not kept: se2_cost or r2_cost of the trajectory gives them."""
+    terms are not kept: minco.control_effort, _safety_penalty and
+    _dynamics_penalty of the trajectory give its effort, safety and dynamics
+    terms."""
 
     trajectory: Trajectory
     converged: bool
@@ -103,9 +106,7 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun(x)
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history: deque = deque(maxlen=_MEMORY)  # the last (s, y, 1 / s.y) curvature pairs
     it = 0
     stall = 0  # consecutive iterations with negligible relative decrease
     converged = bool(np.max(np.abs(g)) < _G_TOL)
@@ -113,14 +114,15 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
         # two-loop recursion
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, y, rho in reversed(history):
             a = rho * np.dot(s, q)
             alphas.append(a)
             q -= a * y
-        if y_hist:
-            gamma = np.dot(s_hist[-1], y_hist[-1]) / max(np.dot(y_hist[-1], y_hist[-1]), 1e-300)
+        if history:
+            s, y, _ = history[-1]
+            gamma = np.dot(s, y) / max(np.dot(y, y), 1e-300)
             q *= gamma
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        for (s, y, rho), a in zip(history, reversed(alphas)):
             b = rho * np.dot(y, q)
             q += (a - b) * s
         d = -q
@@ -129,7 +131,7 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
             d = -g
             slope = -np.dot(g, g)
         alpha = 1.0
-        if not s_hist:  # first step: conservative scale for steep gradients
+        if not history:  # first step: conservative scale for steep gradients
             alpha = min(1.0, 1.0 / max(float(np.linalg.norm(g)), 1.0))
         accepted = False
         for _ in range(40):
@@ -146,13 +148,7 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
         y_vec = g_new - g
         sy = np.dot(s_vec, y_vec)
         if sy > 1e-12:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            history.append((s_vec, y_vec, 1.0 / sy))
         rel_drop = abs(f - f_new) / max(abs(f), 1.0)
         stall = stall + 1 if rel_drop < _F_REL_TOL else 0
         x, f, g = x_new, f_new, g_new
@@ -212,7 +208,7 @@ def se2_cost(traj: Trajectory, weights: Weights, shape: RobotShape,
              obstacles: np.ndarray):
     """Weighted SE(2) cost and its partials w.r.t. coefficients and durations.
 
-    Returns (cost, terms, grad_c (M,6,m), grad_T (M,)).
+    Returns (cost, grad_c (M,6,m), grad_T (M,)).
     """
     jm, gc_m, gt_m = minco.control_effort_gradients(traj)
     jt = traj.total_duration
@@ -222,8 +218,7 @@ def se2_cost(traj: Trajectory, weights: Weights, shape: RobotShape,
     cost = weights.lam_m * jm + weights.lam_t * jt + weights.lam_s * js + weights.lam_d * jd
     grad_c = weights.lam_m * gc_m + weights.lam_s * gc_s + weights.lam_d * gc_d
     grad_t = weights.lam_m * gt_m + weights.lam_t + weights.lam_s * gt_s + weights.lam_d * gt_d
-    terms = {"J_m": jm, "J_t": jt, "J_s": js, "J_d": jd}
-    return cost, terms, grad_c, grad_t
+    return cost, grad_c, grad_t
 
 
 def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
@@ -231,7 +226,7 @@ def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
     """Weighted R^2 cost: smoothness, time, and position/heading residuals
     against anchors placed at fixed arc-length fractions of the timeline.
 
-    Returns (cost, terms, grad_c, grad_T).
+    Returns (cost, grad_c, grad_T).
     """
     jm, gc_m, gt_m = minco.control_effort_gradients(traj)
     jt = traj.total_duration
@@ -245,8 +240,6 @@ def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
     times = traj.start_times[:, None] + traj.durations[:, None] * nodes  # (M, Q)
     idx = np.argmin(np.abs(times[:, :, None] - anchor_times), axis=2)  # nearest anchor
 
-    samples = {}
-
     def residuals(state):
         # the position and heading residuals read disjoint channels of the
         # same samples, so one integrand carries both, each with its weight
@@ -254,21 +247,16 @@ def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
         pv, dv = smoothing_grad(np.sum(dp * dp, axis=-1), mu_p)
         dyaw = state[..., 2] - anchor_yaws[idx]
         pr, dr = smoothing_grad(4 * (1 - np.cos(dyaw)), weights.mu)
-        samples["G_p"], samples["G_R"] = pv, pr
         dg = np.empty_like(state)
         dg[..., :2] = (weights.lam_p * dv * 2)[..., None] * dp
         dg[..., 2] = weights.lam_r * dr * 4 * np.sin(dyaw)
         return weights.lam_p * pv + weights.lam_r * pr, dg
 
-    _, gc_g, gt_g = minco.time_integral(traj, residuals, 0, nodes, wq)
-    tw = traj.durations[:, None] * wq  # the quadrature weights T_i w_q
-    gp_total = float(np.sum(tw * samples["G_p"]))
-    gr_total = float(np.sum(tw * samples["G_R"]))
-    cost = weights.lam_m * jm + weights.lam_t * jt + weights.lam_p * gp_total + weights.lam_r * gr_total
+    jg, gc_g, gt_g = minco.time_integral(traj, residuals, 0, nodes, wq)
+    cost = weights.lam_m * jm + weights.lam_t * jt + jg
     grad_c = weights.lam_m * gc_m + gc_g
     grad_t = weights.lam_m * gt_m + weights.lam_t + gt_g
-    terms = {"J_m": jm, "J_t": jt, "G_p": gp_total, "G_R": gr_total}
-    return cost, terms, grad_c, grad_t
+    return cost, grad_c, grad_t
 
 
 _T_FLOOR = 1e-3
@@ -343,7 +331,7 @@ def _solve(spline: MincoSpline, x: np.ndarray, cost_fn, budget: int):
 
     def objective(x):
         traj = spline.set_params(x[:nq], _softplus(x[nq:]))
-        cost, _, grad_c, grad_t = cost_fn(traj)
+        cost, grad_c, grad_t = cost_fn(traj)
         gq, gt = spline.gradients(grad_c, grad_t)
         sig = expit(x[nq:])  # d softplus / d tau
         return cost, np.concatenate([gq.ravel(), gt * sig])

@@ -121,13 +121,19 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
          config: PlanConfig | None = None, clock=time.perf_counter) -> PlanResult:
     """Full coarse-to-fine plan from a start pose to a goal pose.
 
-    start_pose / goal_pose are (x, y, yaw).  The trajectory reaches the
-    requested positions; the planner picks the headings along it, the start
-    and goal headings included, so the requested yaws are not honoured.  The
-    returned certificate is clear whenever status is "success".
+    start_pose / goal_pose are finite (x, y, yaw) triples; anything else
+    raises ValueError.  The trajectory reaches the requested positions; the
+    planner picks the headings along it, the start and goal headings
+    included, so the requested yaws are not honoured.  The returned
+    certificate is clear whenever status is "success".
     """
     if config is None:
         config = PlanConfig()
+    start_pose = np.asarray(start_pose, dtype=float)
+    goal_pose = np.asarray(goal_pose, dtype=float)
+    for name, pose in (("start_pose", start_pose), ("goal_pose", goal_pose)):
+        if pose.shape != (3,) or not np.all(np.isfinite(pose)):
+            raise ValueError(f"{name} must be 3 finite numbers (x, y, yaw), got {pose}")
     t_begin = clock()
     weights = config.weights
     # each entry is a running total until finish() adds status, time.total
@@ -153,8 +159,6 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
 
     r_in = inscribed_radius(shape)
     kernel = build_kernel(shape, config.n_orientations, grid.resolution)
-    start_pose = np.asarray(start_pose, dtype=float)
-    goal_pose = np.asarray(goal_pose, dtype=float)
     for name, pose in (("start", start_pose), ("goal", goal_pose)):
         if not _some_orientation_free(kernel, grid, pose[:2]):
             result.failures.append(f"{name} pose collides at every orientation")

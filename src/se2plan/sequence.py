@@ -128,28 +128,14 @@ def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyG
             idx += step
         return idx
 
-    # dilate high-risk runs by pad, then merge overlapping intervals
-    intervals = []
-    i = 0
-    while i < n:
-        if risky[i]:
-            j = i
-            while j + 1 < n and risky[j + 1]:
-                j += 1
-            intervals.append([extend(max(i - _PAD, 0), -1),
-                              extend(min(j + _PAD, n - 1), +1)])
-            i = j + 1
-        else:
-            i += 1
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        if lo <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
+    # dilate each high-risk run by pad; runs whose windows overlap or touch
+    # share one SE2 slice
+    window = np.zeros(n, dtype=bool)
+    for first, last in _runs(risky):
+        window[extend(max(first - _PAD, 0), -1):extend(min(last + _PAD, n - 1), +1) + 1] = True
     subs: list[SubProblem] = []
     cursor = 0
-    for lo, hi in merged:
+    for lo, hi in _runs(window):
         if lo > cursor:
             subs.append(SubProblem("R2", tuple(seq.states[cursor : lo + 1])))
         subs.append(SubProblem("SE2", tuple(seq.states[lo : hi + 1])))
@@ -157,3 +143,9 @@ def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyG
     if cursor < n - 1:
         subs.append(SubProblem("R2", tuple(seq.states[cursor:])))
     return subs
+
+
+def _runs(mask: np.ndarray):
+    """(first, last) index pairs of the runs of True in a boolean array."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    return zip(edges[0::2], edges[1::2] - 1)

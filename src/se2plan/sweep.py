@@ -161,22 +161,14 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid) -
         return CollisionReport("clear")
     dt_group = 2 * spacing / (2 * max(lip, 1e-9))
     order = bad[np.argsort(t_stars[bad], kind="stable")]
-    hits = []
-    group = [order[0]]
-    for idx in order[1:]:
-        if t_stars[idx] - t_stars[group[-1]] < dt_group:
-            group.append(idx)
-        else:
-            hits.append(_make_hit(group, t_stars, vals, points))
-            group = [idx]
-    hits.append(_make_hit(group, t_stars, vals, points))
-    return CollisionReport("colliding", tuple(hits))
+    groups = np.split(order, np.flatnonzero(np.diff(t_stars[order]) >= dt_group) + 1)
+    return CollisionReport("colliding",
+                           tuple(_make_hit(group, t_stars, vals, points) for group in groups))
 
 
 def _make_hit(group, t_stars, vals, points):
-    g = np.array(group)
-    worst = g[int(np.argmin(vals[g]))]
-    interval = (float(np.min(t_stars[g])), float(np.max(t_stars[g])))
+    worst = group[int(np.argmin(vals[group]))]
+    interval = (float(np.min(t_stars[group])), float(np.max(t_stars[group])))
     return (interval, points[worst].copy(), float(-vals[worst]))
 
 

@@ -116,21 +116,18 @@ def extract_paths(roadmap: Roadmap, inflated: OccupancyGrid, max_paths: int) -> 
     rows = np.repeat(np.arange(n), lengths)
     graph = csr_matrix((np.empty(len(cols)), cols, indptr), shape=(n, n))
     base = np.linalg.norm(nodes[rows] - nodes[cols], axis=1)
-    # edge e joins lo[e] < hi[e]; its arcs sit at data[fwd[e]] and data[bwd[e]]
-    fwd = np.flatnonzero(rows < cols)
-    lo, hi = rows[fwd], cols[fwd]
-    arc_key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-    edge_of_arc = np.searchsorted(arc_key[fwd], arc_key)
-    bwd = np.empty_like(fwd)
-    bwd[edge_of_arc[rows > cols]] = np.flatnonzero(rows > cols)
-    status = np.zeros(len(fwd), dtype=np.int8)
+    # visibility status per arc; both arcs of an edge are written together
+    status = np.zeros(len(cols), dtype=np.int8)
+
+    def arc(a, b):
+        return indptr[a] + np.searchsorted(cols[indptr[a]:indptr[a + 1]], b)
 
     factor = np.ones(n)
     paths: list[np.ndarray] = []
     seen: set = set()
     for _ in range(max_paths):
         graph.data[:] = base * np.maximum(factor[rows], factor[cols])
-        graph.data[status[edge_of_arc] == _INVALID] = np.inf
+        graph.data[status == _INVALID] = np.inf
         while True:
             dist, pred = dijkstra(graph, directed=True, indices=0,
                                   return_predecessors=True)
@@ -142,13 +139,13 @@ def extract_paths(roadmap: Roadmap, inflated: OccupancyGrid, max_paths: int) -> 
             path.reverse()
             blocked = False
             for a, b in zip(path[:-1], path[1:]):
-                pos = indptr[a] + np.searchsorted(cols[indptr[a]:indptr[a + 1]], b)
-                e = edge_of_arc[pos]
-                if status[e] == _UNCHECKED:
-                    status[e] = (_VALID if is_visible(inflated, nodes[lo[e]], nodes[hi[e]])
-                                 else _INVALID)
-                if status[e] == _INVALID:
-                    graph.data[fwd[e]] = graph.data[bwd[e]] = np.inf
+                arcs = [arc(a, b), arc(b, a)]
+                if status[arcs[0]] == _UNCHECKED:
+                    # one check per edge, from its lower-index node
+                    visible = is_visible(inflated, nodes[min(a, b)], nodes[max(a, b)])
+                    status[arcs] = _VALID if visible else _INVALID
+                if status[arcs[0]] == _INVALID:
+                    graph.data[arcs] = np.inf
                     blocked = True
             if not blocked:
                 break

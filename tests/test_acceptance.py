@@ -111,12 +111,10 @@ def test_criterion_02_gradient_suite_matches_finite_differences():
         return jm, gc, gt
 
     def se2_full(traj):
-        cost, _, gc, gt = se2_cost(traj, se2_weights, shape, obstacles)
-        return cost, gc, gt
+        return se2_cost(traj, se2_weights, shape, obstacles)
 
     def r2_full(traj):
-        cost, _, gc, gt = r2_cost(traj, r2_weights, anchors, anchor_yaws, fractions)
-        return cost, gc, gt
+        return r2_cost(traj, r2_weights, anchors, anchor_yaws, fractions)
 
     for cost_of in (effort_cost, se2_full, r2_full):
         for _ in range(50):

@@ -5,8 +5,9 @@ import pytest
 
 import se2plan.optimize
 from se2plan.minco import MincoSpline, construct, control_effort
-from se2plan.optimize import (DegenerateInputError, Weights, lbfgs, r2_cost, r2_optimize,
-                              se2_cost, se2_optimize, smoothing_grad)
+from se2plan.optimize import (DegenerateInputError, Weights, _dynamics_penalty,
+                              _safety_penalty, lbfgs, r2_cost, r2_optimize, se2_cost,
+                              se2_optimize, smoothing_grad)
 from se2plan.sequence import HIGH_RISK, LOW_RISK, MotionState, SubProblem
 from se2plan.sweep import CollisionReport, continuous_check
 
@@ -127,10 +128,11 @@ def test_se2_cost_free_space_terms(rng, slim_rect):
     spline, wps, durs = random_se2_setup(rng)
     traj = spline.set_params(wps, durs)
     weights = Weights(v_max=50.0, w_max=50.0)
-    cost, terms, _, _ = se2_cost(traj, weights, slim_rect, np.zeros((0, 2)))
-    assert terms["J_s"] == 0.0
-    assert terms["J_d"] == pytest.approx(0.0, abs=1e-12)
-    expected = weights.lam_m * terms["J_m"] + weights.lam_t * terms["J_t"]
+    no_obstacles = np.zeros((0, 2))
+    cost, _, _ = se2_cost(traj, weights, slim_rect, no_obstacles)
+    assert _safety_penalty(traj, weights, slim_rect, no_obstacles)[0] == 0.0
+    assert _dynamics_penalty(traj, weights)[0] == pytest.approx(0.0, abs=1e-12)
+    expected = weights.lam_m * control_effort(traj) + weights.lam_t * traj.total_duration
     assert cost == pytest.approx(expected)
 
 
@@ -139,20 +141,20 @@ def test_se2_cost_dead_zone(rng, slim_rect):
     traj = spline.set_params(wps, durs)
     weights = Weights(d_safe=0.02)
     far = np.array([[50.0, 50.0]])
-    _, terms, gc, gt = se2_cost(traj, weights, slim_rect, far)
-    _, terms0, gc0, gt0 = se2_cost(traj, weights, slim_rect, np.zeros((0, 2)))
-    assert terms["J_s"] == 0.0
+    _, gc, gt = se2_cost(traj, weights, slim_rect, far)
+    _, gc0, gt0 = se2_cost(traj, weights, slim_rect, np.zeros((0, 2)))
+    assert _safety_penalty(traj, weights, slim_rect, far)[0] == 0.0
     assert np.allclose(gc, gc0) and np.allclose(gt, gt0)
 
 
 def _fd_check_cost(spline, wps, durs, cost_of, rel_tol=1e-3, h=1e-6, rng=None):
     """Finite-difference the cost through the MINCO parameterization."""
     traj = spline.set_params(wps, durs)
-    cost, _, grad_c, grad_t = cost_of(traj)
+    cost, grad_c, grad_t = cost_of(traj)
     gq, gt = spline.gradients(grad_c, grad_t)
 
     def value(w, t):
-        c, _, _, _ = cost_of(spline.set_params(w, t))
+        c, _, _ = cost_of(spline.set_params(w, t))
         return c
 
     flat = np.concatenate([gq.ravel(), gt])
@@ -204,9 +206,13 @@ def test_r2_cost_exact_anchor_tracking_zero_residual(slim_rect):
     start[1, 0] = end[1, 0] = 0.5  # constant-velocity straight line
     _, traj = construct(start, end, np.array([[0.5, 0.0, 0.0]]), [1.0, 1.0])
     fractions = np.linspace(0, 1, n_anchors)
-    _, terms, _, _ = r2_cost(traj, Weights(), anchors, yaws, fractions)
-    assert terms["G_p"] == pytest.approx(0.0, abs=1e-9)
-    assert terms["G_R"] == pytest.approx(0.0, abs=1e-9)
+    # each residual alone: the cost with every other weight zeroed
+    g_p, _, _ = r2_cost(traj, Weights(lam_m=0.0, lam_t=0.0, lam_p=1.0, lam_r=0.0),
+                        anchors, yaws, fractions)
+    g_r, _, _ = r2_cost(traj, Weights(lam_m=0.0, lam_t=0.0, lam_p=0.0, lam_r=1.0),
+                        anchors, yaws, fractions)
+    assert g_p == pytest.approx(0.0, abs=1e-9)
+    assert g_r == pytest.approx(0.0, abs=1e-9)
 
 
 def test_r2_cost_gradients_match_fd(rng):

@@ -38,6 +38,16 @@ def test_plan_empty_map_single_r2():
     assert np.allclose(p1[:2], [2.5, 2.5], atol=1e-9)
 
 
+@pytest.mark.parametrize("which", ["start_pose", "goal_pose"])
+@pytest.mark.parametrize("bad", [(np.inf, 0.5, 0.0), (np.nan, 0.5, 0.0), (0.5,),
+                                 (0.5, 0.5, 0.0, 1.0)],
+                         ids=["inf", "nan", "short", "long"])
+def test_plan_rejects_a_malformed_pose(bad, which):
+    poses = {"start_pose": (0.5, 0.5, 0.0), "goal_pose": (2.5, 2.5, 0.0), which: bad}
+    with pytest.raises(ValueError, match=which):
+        plan(empty_grid(30), rectangle(0.6, 0.3), config=FAST, **poses)
+
+
 def test_plan_full_wall_no_path():
     grid = wall_grid(30, wall_ix=15, gaps=())
     shape = rectangle(0.4, 0.2)

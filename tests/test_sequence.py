@@ -156,6 +156,38 @@ def test_extract_subproblems_junction_clears_by_d_safe():
     assert se2.states[0] is states[1]
 
 
+def spans(subs, states):
+    """(kind, first, last) state indices of each sub-problem, after checking
+    that each one is exactly the slice of `states` between them."""
+    index = {id(s): i for i, s in enumerate(states)}
+    out = []
+    for sub in subs:
+        first, last = index[id(sub.states[0])], index[id(sub.states[-1])]
+        assert all(a is b for a, b in zip(sub.states, states[first:last + 1], strict=True))
+        out.append((sub.kind, first, last))
+    return out
+
+
+@pytest.mark.parametrize("runs, expected", [
+    # windows [0, 8] and [11, 19]: an R2 slice between them
+    (((2, 3), (16, 17)), [("SE2", 0, 8), ("R2", 8, 11), ("SE2", 11, 19)]),
+    # [0, 11] and [13, 19]: one state between them is still a slice
+    (((5, 6), (18, 18)), [("SE2", 0, 11), ("R2", 11, 13), ("SE2", 13, 19)]),
+    # [1, 11] and [12, 19] touch: one window
+    (((6, 6), (17, 17)), [("R2", 0, 1), ("SE2", 1, 19)]),
+    # [1, 12] and [9, 19] overlap: one window
+    (((6, 7), (14, 14)), [("R2", 0, 1), ("SE2", 1, 19)]),
+], ids=["apart", "one-state-apart", "touching", "overlapping"])
+def test_extract_subproblems_two_high_risk_runs(runs, expected):
+    # each (first, last) run is padded by five states per side; adjacent
+    # slices share their junction state
+    risks = [LOW_RISK] * 20
+    for first, last in runs:
+        risks[first:last + 1] = [HIGH_RISK] * (last + 1 - first)
+    states = row_states(risks)
+    assert spans(split(states), states) == expected
+
+
 def test_extract_subproblems_empty():
     with pytest.raises(ValueError):
         split(())

@@ -149,6 +149,23 @@ def test_continuous_check_through_wall(slim_rect):
     assert dense < 0
 
 
+def test_continuous_check_one_hit_per_wall():
+    # two full-height walls, 1.4 m apart, crossed by a round body: the
+    # colliding points of each wall form their own hit
+    cells = np.zeros((30, 30), dtype=bool)
+    cells[:, 8] = cells[:, 22] = True
+    grid = grid_from_cells(cells)
+    traj = straight_se2_trajectory((0.3, 1.5), (2.7, 1.5))
+    report = continuous_check(traj, regular_polygon(radius=0.2), grid)
+    assert not report.clear
+    assert len(report.hits) == 2
+    (first, w_first, d_first), (second, w_second, d_second) = report.hits
+    assert first[0] <= first[1] < second[0] <= second[1]
+    assert w_first[0] == pytest.approx(0.85, abs=1e-9)
+    assert w_second[0] == pytest.approx(2.25, abs=1e-9)
+    assert d_first > 0 and d_second > 0
+
+
 def test_continuous_check_clear_with_clearance(slim_rect):
     cells = np.zeros((30, 30), dtype=bool)
     cells[27, :] = True  # wall well above the motion

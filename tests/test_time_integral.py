@@ -7,6 +7,8 @@ each gradient (dJ/dc and dJ/dT as one vector, in the 2-norm), must agree to a
 relative 1e-12 (summation-order rounding is about 1e-13 here).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,10 +252,13 @@ def test_r2_residuals_match_loop():
         anchors = rng.uniform(-2.0, 2.0, (n, 2))
         yaws = rng.uniform(-1.0, 1.0, n)
         fractions = np.linspace(0.0, 1.0, n)
-        cost, terms, grad_c, grad_t = r2_cost(traj, weights, anchors, yaws, fractions)
+        cost, grad_c, grad_t = r2_cost(traj, weights, anchors, yaws, fractions)
         value, gp, gr, ref_c, ref_t = ref_r2_residuals(traj, weights, anchors, yaws, fractions)
-        assert_rel(terms["G_p"], gp)
-        assert_rel(terms["G_R"], gr)
+        # each residual alone: the cost with the other residual's weight zeroed
+        only_p = replace(weights, lam_p=1.0, lam_r=0.0)
+        only_r = replace(weights, lam_p=0.0, lam_r=1.0)
+        assert_rel(r2_cost(traj, only_p, anchors, yaws, fractions)[0], gp)
+        assert_rel(r2_cost(traj, only_r, anchors, yaws, fractions)[0], gr)
         assert_term_rel((cost, grad_c, grad_t), (value, ref_c, ref_t))
 
 
