@@ -9,8 +9,8 @@ from .gridmap import (MalformedMapError, OccupancyGrid, dump_map, extract_obstac
 from .minco import MincoSpline, Trajectory, construct, control_effort
 from .optimize import OptOutcome, Weights, r2_cost, r2_optimize, se2_cost, se2_optimize
 from .pipeline import PlanConfig, PlanResult, SpliceError, plan, splice
-from .sequence import (MotionSequence, MotionState, SubProblem, extract_subproblems,
-                       generate_sequence, safe_yaw)
+from .sequence import (MotionSequence, SubProblem, extract_subproblems, generate_sequence,
+                       safe_yaw)
 from .shape import (GeometryError, RobotKernel, RobotShape, build_kernel, inscribed_radius,
                     kernel_collides, parse_shape, rectangle)
 from .sweep import CollisionReport, continuous_check, swept_boundary_samples, swept_sdf_batch
@@ -24,8 +24,8 @@ __all__ = [
     "OptOutcome", "Weights", "r2_cost", "r2_optimize", "se2_cost",
     "se2_optimize",
     "PlanConfig", "PlanResult", "SpliceError", "plan", "splice",
-    "MotionSequence", "MotionState", "SubProblem", "extract_subproblems",
-    "generate_sequence", "safe_yaw",
+    "MotionSequence", "SubProblem", "extract_subproblems", "generate_sequence",
+    "safe_yaw",
     "GeometryError", "RobotKernel", "RobotShape", "build_kernel",
     "inscribed_radius", "kernel_collides", "parse_shape", "rectangle",
     "CollisionReport", "continuous_check", "swept_boundary_samples",

@@ -201,8 +201,6 @@ class MincoSpline:
             raise ValueError("boundary states must both be (3, m): position, velocity, acceleration")
         if n_pieces < 1:
             raise ValueError("need at least one piece")
-        self.start_state = start_state
-        self.end_state = end_state
         self.n_pieces = n_pieces
         self.dim = start_state.shape[1]
         self._traj = None
@@ -275,6 +273,6 @@ class MincoSpline:
 def construct(start_state, end_state, waypoints, durations) -> tuple[MincoSpline, Trajectory]:
     """Convenience wrapper: build the spline and solve it in one call."""
     durations = np.asarray(durations, dtype=float)
-    spline = MincoSpline(np.asarray(start_state, dtype=float), np.asarray(end_state, dtype=float), len(durations))
+    spline = MincoSpline(start_state, end_state, len(durations))
     traj = spline.set_params(waypoints, durations)
     return spline, traj

@@ -11,11 +11,11 @@ spline coefficients and durations.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import minco
 from .gridmap import OccupancyGrid, extract_obstacles
@@ -271,6 +271,14 @@ def _softplus_inv(t):
     return np.where(t > 30, t, np.log(np.expm1(t)))
 
 
+def _sigmoid(t: float) -> float:
+    """1 / (1 + exp(-t)), 0 where exp(-t) overflows: expit's formula and libm exp."""
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0
+
+
 def _decimate_indices(n: int, max_points: int) -> np.ndarray:
     if n <= max_points:
         return np.arange(n)
@@ -290,8 +298,7 @@ def _sub_geometry(sub, v_max: float):
     positions and seed yaws of all its states: waypoints are decimated
     states, yaws are unwrapped from the states' kernel yaws, and durations
     come from arc length at half v_max."""
-    positions = np.array([s.position for s in sub.states])
-    yaws_raw = np.array([s.yaw for s in sub.states])
+    positions, yaws_raw = sub.states[:, :2], sub.states[:, 2]
     if sub.kind == "R2":
         # translation-dominant slice: interior orientation picks are per-point
         # and can flip between symmetric aliases, so only the junction yaws
@@ -302,7 +309,7 @@ def _sub_geometry(sub, v_max: float):
         # High-risk orientations are placeholders (no collision-free kernel
         # yaw exists there); seed them by interpolating between the
         # surrounding trusted yaws instead
-        trusted = np.array([s.risk != "HighRisk" for s in sub.states])
+        trusted = np.array(sub.risks) != "HighRisk"
         if trusted.any() and not trusted.all():
             idx_all = np.arange(len(yaws_raw))
             yaws = np.interp(idx_all, idx_all[trusted], np.unwrap(yaws_raw[trusted]))
@@ -333,7 +340,7 @@ def _solve(spline: MincoSpline, x: np.ndarray, cost_fn, budget: int):
         traj = spline.set_params(x[:nq], _softplus(x[nq:]))
         cost, grad_c, grad_t = cost_fn(traj)
         gq, gt = spline.gradients(grad_c, grad_t)
-        sig = expit(x[nq:])  # d softplus / d tau
+        sig = np.array([_sigmoid(tau) for tau in x[nq:]])  # d softplus / d tau
         return cost, np.concatenate([gq.ravel(), gt * sig])
 
     x, _, iterations, converged = lbfgs(objective, x, max_iter=budget)

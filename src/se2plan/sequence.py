@@ -26,29 +26,19 @@ _SEARCH_RANGE = 4
 _PAD = 5
 
 
-@dataclass(frozen=True)
-class MotionState:
-    position: np.ndarray  # (2,)
-    yaw: float  # a kernel orientation's yaw (the preferred one for HighRisk)
-    risk: str  # LOW_RISK | HIGH_RISK
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionSequence:
-    states: tuple  # of MotionState
+    # (N, 3) rows of (x, y, yaw), read-only; each yaw is a kernel
+    # orientation's (the preferred one for HighRisk)
+    states: np.ndarray
+    risks: tuple  # LOW_RISK | HIGH_RISK per row
 
-    @property
-    def risks(self) -> list[str]:
-        return [s.risk for s in self.states]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubProblem:
     kind: str  # "SE2" | "R2"
-    states: tuple  # contiguous MotionState slice
+    states: np.ndarray  # a view of contiguous rows of the sequence's states
+    risks: tuple  # the matching labels
 
 
 def safe_yaw(p, preferred_k: int, kernel: RobotKernel, grid: OccupancyGrid) -> int | None:
@@ -67,13 +57,6 @@ def safe_yaw(p, preferred_k: int, kernel: RobotKernel, grid: OccupancyGrid) -> i
     return None
 
 
-def _heading_index(kernel: RobotKernel, a, b) -> int:
-    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    if np.linalg.norm(d) < 1e-12:
-        return 0
-    return kernel.index_of(float(np.arctan2(d[1], d[0])))
-
-
 def generate_sequence(path: np.ndarray, kernel: RobotKernel,
                       grid: OccupancyGrid) -> MotionSequence:
     """Convert a waypoint polyline ((K, 2) positions) to a dense risk-labeled
@@ -86,16 +69,19 @@ def generate_sequence(path: np.ndarray, kernel: RobotKernel,
     here.
     """
     path = np.asarray(path, dtype=float)
-    states: list[MotionState] = []
+    rows, risks = [], []
     for a, b in zip(path[:-1], path[1:]):
         pts = discretize_polyline(np.array([a, b]), grid.resolution)
-        k0 = _heading_index(kernel, a, b)
-        first = 1 if states else 0  # the junction point comes from the previous segment
-        for i in range(first, len(pts)):
-            free = safe_yaw(pts[i], k0, kernel, grid)
-            states.append(MotionState(pts[i], kernel.yaw_of(k0 if free is None else free),
-                                      HIGH_RISK if free is None else LOW_RISK))
-    return MotionSequence(tuple(states))
+        k0 = kernel.index_of(float(np.arctan2(b[1] - a[1], b[0] - a[0])))
+        # the junction point comes from the previous segment
+        for p in pts[1 if rows else 0:]:
+            free = safe_yaw(p, k0, kernel, grid)
+            rows.append((p[0], p[1], kernel.yaw_of(k0 if free is None else free)))
+            risks.append(HIGH_RISK if free is None else LOW_RISK)
+    states = np.array(rows, dtype=float).reshape(-1, 3)
+    # sub-problems are views of these rows: none may edit a shared junction
+    states.setflags(write=False)
+    return MotionSequence(states, tuple(risks))
 
 
 def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyGrid,
@@ -108,23 +94,23 @@ def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyG
     body SDF at the state's pose): the dilation keeps extending past states
     that do not (kernel checks are optimistic by up to half a cell, and a
     junction pose frozen inside a wall makes its SE(2) slice unsolvable)."""
-    if not seq.states:
-        raise ValueError("sequence is empty")
     n = len(seq.states)
-    risky = np.array([s.risk == HIGH_RISK for s in seq.states])
+    if n == 0:
+        raise ValueError("sequence is empty")
+    risky = np.array(seq.risks) == HIGH_RISK
     if not np.any(risky):
-        return [SubProblem("R2", tuple(seq.states))]
+        return [SubProblem("R2", seq.states, seq.risks)]
 
-    def good_junction(state):
+    def good_junction(i):
         # a centre beyond circumradius + d_safe clears the body by d_safe
-        near = extract_obstacles(grid, state.position, shape.circumradius + d_safe)
+        near = extract_obstacles(grid, seq.states[i, :2], shape.circumradius + d_safe)
         if near.shape[0] == 0:
             return True
-        values, _ = shape.sdf_at_pose(near, state.position, state.yaw)
+        values, _ = shape.sdf_at_pose(near, seq.states[i, :2], seq.states[i, 2])
         return float(np.min(values)) >= d_safe
 
     def extend(idx, step):
-        while 0 < idx < n - 1 and (risky[idx] or not good_junction(seq.states[idx])):
+        while 0 < idx < n - 1 and (risky[idx] or not good_junction(idx)):
             idx += step
         return idx
 
@@ -133,16 +119,17 @@ def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyG
     window = np.zeros(n, dtype=bool)
     for first, last in _runs(risky):
         window[extend(max(first - _PAD, 0), -1):extend(min(last + _PAD, n - 1), +1) + 1] = True
-    subs: list[SubProblem] = []
+    cuts = []  # (kind, first, last) state indices
     cursor = 0
     for lo, hi in _runs(window):
         if lo > cursor:
-            subs.append(SubProblem("R2", tuple(seq.states[cursor : lo + 1])))
-        subs.append(SubProblem("SE2", tuple(seq.states[lo : hi + 1])))
+            cuts.append(("R2", cursor, lo))
+        cuts.append(("SE2", lo, hi))
         cursor = hi
     if cursor < n - 1:
-        subs.append(SubProblem("R2", tuple(seq.states[cursor:])))
-    return subs
+        cuts.append(("R2", cursor, n - 1))
+    return [SubProblem(kind, seq.states[lo:hi + 1], seq.risks[lo:hi + 1])
+            for kind, lo, hi in cuts]
 
 
 def _runs(mask: np.ndarray):

@@ -72,16 +72,17 @@ def swept_sdf_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
     value.  Returns (values (P,), t_stars (P,)).
     """
     return _swept_sdf(traj, shape, points, spacing_target, np.inf,
-                      _lipschitz_bound(traj, shape))
+                      _lipschitz_bound(traj, shape))[:2]
 
 
 def _swept_sdf(traj, shape, points, spacing_target, margin, lip):
     """swept_sdf_batch with the Lipschitz bound supplied by the caller, refining
-    only the sampled minima below margin + spacing_target."""
+    only the sampled minima below margin + spacing_target; also returns the
+    coarse times (T,) and the coarse values (T, P)."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    if points.shape[0] == 0:
-        return np.zeros(0), np.zeros(0)
     ts = _coarse_times(traj, lip, spacing_target)
+    if points.shape[0] == 0:
+        return np.zeros(0), np.zeros(0), ts, np.zeros((len(ts), 0))
     block = max(_COARSE_BLOCK_PAIRS // len(ts), 1)
     vals = np.concatenate([_composed(traj, shape, points[j:j + block], ts[:, None])
                            for j in range(0, points.shape[0], block)], axis=1)  # (T, P)
@@ -102,7 +103,7 @@ def _swept_sdf(traj, shape, points, spacing_target, margin, lip):
         better = first[v_r[first] < out_v[p[first]]]
         out_v[p[better]] = v_r[better]
         out_t[p[better]] = t_r[better]
-    return out_v, out_t
+    return out_v, out_t, ts, vals
 
 
 def _golden_refine_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
@@ -145,8 +146,9 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid) -
     at zero margin.
 
     Reports every obstacle point whose swept SDF is negative (inside the
-    swept body), grouped into time intervals by arg-min adjacency; a hit's
-    depth is that SDF's magnitude.
+    swept body), grouped by arg-min adjacency; a hit's depth is that SDF's
+    magnitude.  A hit's interval spans its points' arg-min times and the
+    coarse samples on either side of those with one of its points inside.
     """
     ts = np.linspace(0.0, traj.total_duration, 256)
     pos = traj.eval_many(ts, order=0)[:, :2]
@@ -155,20 +157,23 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid) -
         return CollisionReport("clear")
     spacing = grid.resolution / 2  # SDF spacing target: half a map cell
     lip = _lipschitz_bound(traj, shape)
-    vals, t_stars = _swept_sdf(traj, shape, points, spacing, 0.0, lip)
+    vals, t_stars, coarse_ts, coarse_vals = _swept_sdf(traj, shape, points, spacing, 0.0, lip)
     bad = np.nonzero(vals < -1e-12)[0]
     if bad.size == 0:
         return CollisionReport("clear")
     dt_group = 2 * spacing / (2 * max(lip, 1e-9))
     order = bad[np.argsort(t_stars[bad], kind="stable")]
     groups = np.split(order, np.flatnonzero(np.diff(t_stars[order]) >= dt_group) + 1)
-    return CollisionReport("colliding",
-                           tuple(_make_hit(group, t_stars, vals, points) for group in groups))
+    hits = (_make_hit(group, t_stars, vals, points, coarse_ts, coarse_vals) for group in groups)
+    return CollisionReport("colliding", tuple(hits))
 
 
-def _make_hit(group, t_stars, vals, points):
+def _make_hit(group, t_stars, vals, points, coarse_ts, coarse_vals):
     worst = group[int(np.argmin(vals[group]))]
-    interval = (float(np.min(t_stars[group])), float(np.max(t_stars[group])))
+    inside = np.flatnonzero(np.any(coarse_vals[:, group] < -1e-12, axis=1))
+    near = np.clip(np.concatenate([inside - 1, inside + 1]), 0, len(coarse_ts) - 1)
+    times = np.concatenate([t_stars[group], coarse_ts[near]])
+    interval = (float(np.min(times)), float(np.max(times)))
     return (interval, points[worst].copy(), float(-vals[worst]))
 
 

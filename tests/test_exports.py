@@ -20,7 +20,7 @@ def test_star_import_binds_the_export_list():
 def test_import_loads_no_spatial_or_image_module():
     code = ("import sys, se2plan, se2plan.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.spatial', 'scipy.ndimage'))))")
+            "if m.startswith(('scipy.spatial', 'scipy.ndimage', 'scipy.special'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"

@@ -2,13 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import se2plan.optimize
 from se2plan.minco import MincoSpline, construct, control_effort
 from se2plan.optimize import (DegenerateInputError, Weights, _dynamics_penalty,
-                              _safety_penalty, lbfgs, r2_cost, r2_optimize, se2_cost,
+                              _safety_penalty, _sigmoid, lbfgs, r2_cost, r2_optimize, se2_cost,
                               se2_optimize, smoothing_grad)
-from se2plan.sequence import HIGH_RISK, LOW_RISK, MotionState, SubProblem
+from se2plan.sequence import HIGH_RISK, LOW_RISK, SubProblem
 from se2plan.sweep import CollisionReport, continuous_check
 
 from conftest import empty_grid, grid_from_cells
@@ -47,6 +48,15 @@ def test_smoothing_grad_matches_fd(rng):
         _, d = smoothing_grad(float(x), mu)
         fd = (smoothing_grad(x + h, mu)[0] - smoothing_grad(x - h, mu)[0]) / (2 * h)
         assert d == pytest.approx(fd, abs=1e-5)
+
+
+def test_sigmoid_matches_expit_bit_for_bit(rng):
+    # the duration chain rule used scipy's expit; any other rounding changes
+    # every solve's iterates, and so every plan
+    t = np.concatenate([rng.normal(0.0, 5.0, 20000), rng.uniform(-800.0, 800.0, 20000),
+                        [np.inf, -np.inf, 1000.0, -1000.0, 709.9, -709.9, 0.0, -0.0, np.nan]])
+    ours = np.array([_sigmoid(tau) for tau in t])
+    assert np.array_equal(ours.view(np.int64), expit(t).view(np.int64))
 
 
 def test_weights_validation():
@@ -235,9 +245,8 @@ def make_sub(kind, positions, yaws=None, risks=None):
         yaws = [0.0] * n
     if risks is None:
         risks = [HIGH_RISK if kind == "SE2" else LOW_RISK] * n
-    states = tuple(MotionState(np.asarray(p, float), k, r)
-                   for p, k, r in zip(positions, yaws, risks))
-    return SubProblem(kind, states)
+    states = np.column_stack([np.asarray(positions, float), yaws])
+    return SubProblem(kind, states, tuple(risks))
 
 
 def test_r2_optimize_straight_line(slim_rect):

@@ -196,7 +196,7 @@ def three_subs(monkeypatch):
     to se2_optimize are recorded, and se2_optimize returns a 2 s solve,
     collision-free for the SE2 sub and with the verdict in `resolve_clear` for
     a re-solved R2 sub."""
-    subs = [SubProblem(kind, ()) for kind in ["R2", "SE2", "R2"]]
+    subs = [SubProblem(kind, np.zeros((0, 3)), ()) for kind in ["R2", "SE2", "R2"]]
     calls = {"se2": [], "checked": [], "resolve_clear": True}
     r2_out = {}
 

@@ -1,8 +1,12 @@
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from se2plan.sequence import (HIGH_RISK, LOW_RISK, MotionSequence, MotionState,
-                              extract_subproblems, generate_sequence, safe_yaw)
+from se2plan.sequence import (HIGH_RISK, LOW_RISK, MotionSequence, extract_subproblems,
+                              generate_sequence, safe_yaw)
 from se2plan.shape import build_kernel, kernel_collides, rectangle
 
 from conftest import baffle_grid, empty_grid, grid_from_cells
@@ -58,36 +62,76 @@ def test_generate_sequence_open_map(slim_rect, kernel):
     grid = empty_grid(30)
     path = straight_path((0.6, 1.5), (2.4, 1.5))
     seq = generate_sequence(path, kernel, grid)
-    assert np.allclose(seq.states[0].position, [0.6, 1.5])
-    assert np.allclose(seq.states[-1].position, [2.4, 1.5])
-    assert all(s.risk == LOW_RISK for s in seq.states)
-    assert all(s.yaw == 0.0 for s in seq.states[1:-1])
-    positions = np.array([s.position for s in seq.states])
-    gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
+    assert seq.states.shape == (len(seq.risks), 3)
+    assert np.allclose(seq.states[0, :2], [0.6, 1.5])
+    assert np.allclose(seq.states[-1, :2], [2.4, 1.5])
+    assert all(r == LOW_RISK for r in seq.risks)
+    assert np.all(seq.states[1:-1, 2] == 0.0)
+    gaps = np.linalg.norm(np.diff(seq.states[:, :2], axis=0), axis=1)
     assert np.all(gaps <= 2 * grid.resolution + 1e-9)
+    # sub-problems are views of these rows, so no one may write them
+    with pytest.raises(ValueError):
+        seq.states[0, 0] = 0.0
+
+
+def slit_sequence(kernel):
+    """The baffle map and a diagonal path's sequence threading both offset
+    slots."""
+    grid = baffle_grid()
+    return grid, generate_sequence(straight_path((1.4, 0.8), (3.0, 2.3)), kernel, grid)
 
 
 def test_generate_sequence_slit_high_risk(slim_rect, kernel):
-    grid = baffle_grid()
-    # diagonal path threading both offset slots
-    path = straight_path((1.4, 0.8), (3.0, 2.3))
-    seq = generate_sequence(path, kernel, grid)
-    risks = [s.risk for s in seq.states]
-    assert HIGH_RISK in risks
-    # high-risk states cluster near the baffle passage (x in [1.7, 2.7])
-    for s in seq.states:
-        if s.risk == HIGH_RISK:
-            assert 1.5 <= s.position[0] <= 2.9
-    # low-risk soundness
-    for s in seq.states:
-        if s.risk == LOW_RISK:
-            assert not kernel_collides(kernel, grid, s.position, kernel.index_of(s.yaw))
+    grid, seq = slit_sequence(kernel)
+    assert HIGH_RISK in seq.risks
+    for (x, y, yaw), risk in zip(seq.states, seq.risks, strict=True):
+        if risk == HIGH_RISK:
+            # high-risk states cluster near the baffle passage (x in [1.7, 2.7])
+            assert 1.5 <= x <= 2.9
+        else:
+            # low-risk soundness
+            assert not kernel_collides(kernel, grid, (x, y), kernel.index_of(yaw))
+
+
+def load_bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_counts_match_the_sequence(slim_rect, kernel):
+    # the bench tracer reads len(states), compares each label with the string
+    # "HighRisk" and reads each sub's kind; labels of another type would read
+    # as zero high-risk states there, not fail
+    tracer = load_bench_tracer()
+    grid, seq = slit_sequence(kernel)
+    subs = extract_subproblems(seq, slim_rect, grid, 0.02)
+    counts = Counter()
+    tracer._observe_sequence(counts, (), seq)
+    tracer._observe_subproblems(counts, (), subs)
+    high = int(np.count_nonzero(np.array(seq.risks) == HIGH_RISK))
+    assert high >= 1
+    assert counts["sequence.states"] == seq.states.shape[0]
+    assert counts["sequence.high_risk_states"] == high
+    assert counts["sequence.subproblems.se2"] == sum(sub.kind == "SE2" for sub in subs) >= 1
+    assert counts["sequence.subproblems.r2"] == sum(sub.kind == "R2" for sub in subs)
 
 
 def row_states(risks):
-    """States 0.1 m apart along the centre row y = 0.55 of `row_grid`, on the
-    x centres of its cells, yaw 0."""
-    return tuple(MotionState((0.05 + 0.1 * i, 0.55), 0.0, r) for i, r in enumerate(risks))
+    """A sequence of states 0.1 m apart along the centre row y = 0.55 of
+    `row_grid`, on the x centres of its cells, yaw 0: state i is at
+    x = 0.05 + 0.1 i."""
+    n = len(risks)
+    states = np.column_stack([0.05 + 0.1 * np.arange(n), np.full(n, 0.55), np.zeros(n)])
+    states.setflags(write=False)
+    return MotionSequence(states, tuple(risks))
+
+
+def row_index(state):
+    """The index in `row_states` of a state, recovered from its x."""
+    return int(round((state[0] - 0.05) / 0.1))
 
 
 def row_grid(occupied=()):
@@ -98,72 +142,70 @@ def row_grid(occupied=()):
     return grid_from_cells(cells)
 
 
-def split(states, grid=None, d_safe=0.02):
-    return extract_subproblems(MotionSequence(states), rectangle(0.1, 0.06),
+def split(seq, grid=None, d_safe=0.02):
+    return extract_subproblems(seq, rectangle(0.1, 0.06),
                                row_grid() if grid is None else grid, d_safe)
 
 
 def test_extract_subproblems_all_low():
-    states = row_states([LOW_RISK] * 8)
-    subs = split(states)
-    assert len(subs) == 1
-    assert subs[0].kind == "R2" and len(subs[0].states) == 8
+    seq = row_states([LOW_RISK] * 8)
+    subs = split(seq)
+    assert spans(subs, seq) == [("R2", 0, 7)]
 
 
 def test_extract_subproblems_l5_h3_l5():
     risks = [LOW_RISK] * 8 + [HIGH_RISK] * 3 + [LOW_RISK] * 8
-    states = row_states(risks)
-    subs = split(states)
-    assert [s.kind for s in subs] == ["R2", "SE2", "R2"]
-    assert len(subs[1].states) == 13  # H-run of 3 plus five pad states per side
-    # adjacent sub-problems share exactly the junction state
-    assert subs[0].states[-1] is subs[1].states[0]
-    assert subs[1].states[-1] is subs[2].states[0]
+    seq = row_states(risks)
+    subs = split(seq)
+    # an H-run of 3 plus five pad states per side; adjacent sub-problems
+    # share exactly the junction state
+    assert spans(subs, seq) == [("R2", 0, 3), ("SE2", 3, 15), ("R2", 15, 18)]
+    assert np.array_equal(subs[0].states[-1], subs[1].states[0])
+    assert np.array_equal(subs[1].states[-1], subs[2].states[0])
     # cover: concatenating slices (dropping duplicated junctions) = sequence
-    merged = list(subs[0].states) + list(subs[1].states[1:]) + list(subs[2].states[1:])
-    assert merged == list(states)
+    merged = np.concatenate([subs[0].states, subs[1].states[1:], subs[2].states[1:]])
+    assert np.array_equal(merged, seq.states)
+    assert subs[0].risks + subs[1].risks[1:] + subs[2].risks[1:] == seq.risks
 
 
 def test_extract_subproblems_high_risk_head():
     risks = [HIGH_RISK] * 2 + [LOW_RISK] * 8
-    states = row_states(risks)
-    subs = split(states)
-    assert [s.kind for s in subs] == ["SE2", "R2"]
-    assert subs[0].states[0] is states[0] and len(subs[0].states) == 7
+    seq = row_states(risks)
+    assert spans(split(seq), seq) == [("SE2", 0, 6), ("R2", 6, 9)]
 
 
 def test_extract_subproblems_junction_veto():
     risks = [LOW_RISK] * 8 + [HIGH_RISK] + [LOW_RISK] * 8
-    states = row_states(risks)
+    seq = row_states(risks)
     # obstacles on the states a five-state dilation would pick as junctions
     # (3 and 13): the body covers them, so the dilation extends one further
-    subs = split(states, row_grid(occupied=((3, 5), (13, 5))))
-    se2 = next(s for s in subs if s.kind == "SE2")
-    assert se2.states[0] is states[2] and len(se2.states) == 13
+    subs = split(seq, row_grid(occupied=((3, 5), (13, 5))))
+    assert ("SE2", 2, 14) in spans(subs, seq)
     # without them the junctions are the dilation's own
-    se2 = next(s for s in split(states) if s.kind == "SE2")
-    assert se2.states[0] is states[3] and len(se2.states) == 11
+    assert ("SE2", 3, 13) in spans(split(seq), seq)
 
 
 def test_extract_subproblems_junction_clears_by_d_safe():
-    states = row_states([LOW_RISK] * 8 + [HIGH_RISK] + [LOW_RISK] * 8)
+    seq = row_states([LOW_RISK] * 8 + [HIGH_RISK] + [LOW_RISK] * 8)
     # one cell beside state 3, the left junction: 0.07 m from the body there
     # and 0.086 m from it at state 2
     grid = row_grid(occupied=((3, 6),))
-    se2 = next(s for s in split(states, grid, d_safe=0.05) if s.kind == "SE2")
-    assert se2.states[0] is states[3]
-    se2 = next(s for s in split(states, grid, d_safe=0.1) if s.kind == "SE2")
-    assert se2.states[0] is states[1]
+    se2 = next(s for s in split(seq, grid, d_safe=0.05) if s.kind == "SE2")
+    assert row_index(se2.states[0]) == 3
+    se2 = next(s for s in split(seq, grid, d_safe=0.1) if s.kind == "SE2")
+    assert row_index(se2.states[0]) == 1
 
 
-def spans(subs, states):
-    """(kind, first, last) state indices of each sub-problem, after checking
-    that each one is exactly the slice of `states` between them."""
-    index = {id(s): i for i, s in enumerate(states)}
+def spans(subs, seq):
+    """(kind, first, last) state indices of each sub-problem of a
+    `row_states` sequence, after checking that each one's states are a view
+    of exactly the rows between them and its risks their labels."""
     out = []
     for sub in subs:
-        first, last = index[id(sub.states[0])], index[id(sub.states[-1])]
-        assert all(a is b for a, b in zip(sub.states, states[first:last + 1], strict=True))
+        first, last = row_index(sub.states[0]), row_index(sub.states[-1])
+        assert np.shares_memory(sub.states, seq.states)
+        assert np.array_equal(sub.states, seq.states[first:last + 1])
+        assert sub.risks == seq.risks[first:last + 1]
         out.append((sub.kind, first, last))
     return out
 
@@ -184,10 +226,10 @@ def test_extract_subproblems_two_high_risk_runs(runs, expected):
     risks = [LOW_RISK] * 20
     for first, last in runs:
         risks[first:last + 1] = [HIGH_RISK] * (last + 1 - first)
-    states = row_states(risks)
-    assert spans(split(states), states) == expected
+    seq = row_states(risks)
+    assert spans(split(seq), seq) == expected
 
 
 def test_extract_subproblems_empty():
     with pytest.raises(ValueError):
-        split(())
+        split(row_states([]))

@@ -6,7 +6,8 @@ import pytest
 from se2plan.minco import construct
 from se2plan.shape import (RobotShape, build_kernel, kernel_collides, parse_shape,
                            polygon_sdf, rectangle, rotation)
-from se2plan.sweep import continuous_check, swept_boundary_samples, swept_sdf_batch
+from se2plan.sweep import (_coarse_times, _lipschitz_bound, continuous_check,
+                           swept_boundary_samples, swept_sdf_batch)
 
 from conftest import grid_from_cells
 from test_acceptance import dense_min_sdf
@@ -126,6 +127,27 @@ def test_every_sampled_local_minimum_is_refined():
     assert t_star == pytest.approx(0.635, abs=0.01)
 
 
+def dense_overlap(traj, shape, points, n=20001):
+    """The first and last of n uniform times at which the body covers any of
+    the points."""
+    ts = np.linspace(0.0, traj.total_duration, n)
+    pose = traj.eval_many(ts, 0)
+    inside = np.zeros(n, dtype=bool)
+    for p in points:
+        inside |= shape.sdf_at_pose(p, pose[:, :2], pose[:, 2])[0] < 0
+    return ts[inside][0], ts[inside][-1]
+
+
+def assert_interval_brackets(interval, overlap, traj, shape, grid):
+    """The hit interval contains the dense overlap and reaches past it by at
+    most one coarse time step of the check."""
+    ts = _coarse_times(traj, _lipschitz_bound(traj, shape), grid.resolution / 2)
+    step = ts[1] - ts[0]
+    (lo, hi), (first, last) = interval, overlap
+    assert lo <= first and last <= hi
+    assert first - lo <= step and hi - last <= step
+
+
 def test_continuous_check_empty_grid(unit_square):
     traj = straight_se2_trajectory((1.0, 1.0), (2.0, 1.0))
     grid = grid_from_cells(np.zeros((30, 30), dtype=bool))
@@ -147,6 +169,11 @@ def test_continuous_check_through_wall(slim_rect):
     ts = np.linspace(0, traj.total_duration, 2000)
     dense = min(composed_at(traj, slim_rect, witness, t) for t in ts)
     assert dense < 0
+    # the body stands in the wall from 0.679 s to 1.410 s, not only at the
+    # witness's arg-min time
+    overlap = dense_overlap(traj, slim_rect, grid.occupied_centers())
+    assert overlap == pytest.approx((0.679, 1.410), abs=1e-3)
+    assert_interval_brackets(interval, overlap, traj, slim_rect, grid)
 
 
 def test_continuous_check_one_hit_per_wall():
@@ -156,11 +183,16 @@ def test_continuous_check_one_hit_per_wall():
     cells[:, 8] = cells[:, 22] = True
     grid = grid_from_cells(cells)
     traj = straight_se2_trajectory((0.3, 1.5), (2.7, 1.5))
-    report = continuous_check(traj, regular_polygon(radius=0.2), grid)
+    disc = regular_polygon(radius=0.2)
+    report = continuous_check(traj, disc, grid)
     assert not report.clear
     assert len(report.hits) == 2
     (first, w_first, d_first), (second, w_second, d_second) = report.hits
     assert first[0] <= first[1] < second[0] <= second[1]
+    centers = grid.occupied_centers()
+    for interval, wall in ((first, centers[:, 0] < 1.5), (second, centers[:, 0] > 1.5)):
+        assert_interval_brackets(interval, dense_overlap(traj, disc, centers[wall]),
+                                 traj, disc, grid)
     assert w_first[0] == pytest.approx(0.85, abs=1e-9)
     assert w_second[0] == pytest.approx(2.25, abs=1e-9)
     assert d_first > 0 and d_second > 0
