@@ -183,15 +183,18 @@ def _safety_penalty(traj: Trajectory, weights: Weights, shape: RobotShape,
     discontinuously, which the optimizer exploits by parking the trajectory
     exactly on a detection boundary where every step looks uphill.
 
-    An obstacle at least circumradius + d_safe from the pose has sdf >= d_safe,
-    so its penalty and derivative are exactly zero: only the closer
-    (sample, obstacle) pairs are evaluated."""
+    An obstacle with sdf >= d_safe has penalty and derivative exactly zero:
+    only the (sample, obstacle) pairs within circumradius + d_safe of the
+    pose, and then inside the body's bounding box grown by d_safe
+    (RobotShape.near_pose), get the exact SDF."""
     reach2 = (shape.circumradius + weights.d_safe) ** 2
 
     def integrand(pose):
         flat = pose.reshape(-1, 3)
         d = obstacles[None, :, :] - flat[:, None, :2]  # (S, P, 2)
         k, p = np.nonzero(np.einsum("spc,spc->sp", d, d) < reach2)  # live pairs
+        near = shape.near_pose(obstacles[p], flat[k, :2], flat[k, 2], weights.d_safe)
+        k, p = k[near], p[near]
         val, dval = shape.sdf_at_pose(obstacles[p], flat[k, :2], flat[k, 2])
         pen, dpen = smoothing_grad(weights.d_safe - val, weights.mu)
         dpen_dpose = -dpen[:, None] * dval

@@ -130,18 +130,36 @@ class RobotShape:
         """Max distance from the reference point to any vertex."""
         return float(np.max(np.linalg.norm(self.vertices - self.reference, axis=1)))
 
+    def _to_body(self, points, position, yaw):
+        """World points seen from a pose (reference point at `position`, body
+        turned by `yaw`), in the polygon's frame; also returns the world
+        offsets d and cos/sin of the yaw.  The only place a world point is
+        taken into the body frame."""
+        d = np.asarray(points, dtype=float) - np.asarray(position, dtype=float)
+        dx, dy = d[..., 0], d[..., 1]
+        c, s = np.cos(yaw), np.sin(yaw)
+        body = np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1) + self.reference
+        return body, dx, dy, c, s
+
+    def near_pose(self, points, position, yaw, margin: float) -> np.ndarray:
+        """Broad phase for sdf_at_pose: False where a world point lies outside
+        the polygon's body-frame bounding box grown by `margin`.  The distance
+        to a polygon is at least the distance to its bounding box, so such a
+        point has signed distance > margin.  Arguments broadcast as in
+        sdf_at_pose."""
+        body = self._to_body(points, position, yaw)[0]
+        lo = self.vertices.min(axis=0) - margin
+        hi = self.vertices.max(axis=0) + margin
+        return np.all((body >= lo) & (body <= hi), axis=-1)
+
     def sdf_at_pose(self, points, position, yaw):
         """Signed distance from world points to the body at a pose (reference
         point at `position`, body turned by `yaw`) and its pose gradient.
 
         points (..., 2), position (..., 2) and yaw (...) broadcast together;
-        returns values (...) and d value / d (x, y, yaw) (..., 3).  The only
-        place a world point is taken into the body frame.
+        returns values (...) and d value / d (x, y, yaw) (..., 3).
         """
-        d = np.asarray(points, dtype=float) - np.asarray(position, dtype=float)
-        dx, dy = d[..., 0], d[..., 1]
-        c, s = np.cos(yaw), np.sin(yaw)
-        body = np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1) + self.reference
+        body, dx, dy, c, s = self._to_body(points, position, yaw)
         value, g = polygon_sdf_gradient(self.vertices, body)
         gx, gy = g[..., 0], g[..., 1]
         # d body / d yaw = R(yaw)^T S d, S the 90 degree rotation: u = (dy, -dx)

@@ -198,6 +198,25 @@ def test_sdf_at_pose_pose_gradient_matches_fd(rng):
     assert checked >= 20
 
 
+def test_near_pose_rejects_only_points_farther_than_the_margin(rng):
+    # a point the broad phase rejects has signed distance > margin, and the
+    # box is not vacuous: it rejects most points of a wide sample
+    margin = 0.05
+    rejected = 0
+    for _ in range(20):
+        shape = random_simple_polygon(rng)
+        shape = RobotShape(shape.vertices, rng.uniform(-0.05, 0.05, 2))
+        position = rng.uniform(-1.0, 1.0, 2)
+        yaw = float(rng.uniform(-np.pi, np.pi))
+        points = position + rng.uniform(-3.0, 3.0, (500, 2))
+        near = shape.near_pose(points, position, yaw, margin)
+        values, _ = shape.sdf_at_pose(points, position, yaw)
+        assert np.all(values[~near] > margin)
+        assert near.shape == (500,) and near.any()
+        rejected += int(np.sum(~near))
+    assert rejected > 20 * 500 / 2
+
+
 def test_reference_point_value(unit_square):
     value, _ = unit_square.sdf_at_pose(np.zeros((1, 2)), (0.0, 0.0), 0.3)
     assert value[0] == pytest.approx(-inscribed_radius(unit_square), abs=1e-12)
