@@ -3,10 +3,13 @@
 SE(2) sub-problems minimize smoothness + total time + swept-volume safety +
 dynamic-limit penalties over MINCO waypoint/duration parameters; R^2
 sub-problems replace the safety term with position/heading residuals against
-the motion-sequence anchors.  All penalty terms go through the same C^2
-smoothed ramp so gradients stay continuous.  Each time-integrated term is an
-integrand handed to minco.time_integral, which owns the chain rule to the
-spline coefficients and durations.
+the anchor curve, the motion-sequence states interpolated against their
+arc-length fractions of the timeline.  All penalty terms go through the same
+C^2 smoothed ramp, so every cost and its gradient are continuous.  Each
+time-integrated term is an integrand handed to minco.time_integral, which
+owns the chain rule to the spline coefficients and durations.  lbfgs solves
+each sub-problem until it has converged relative to the problem's own scale,
+or until its iteration budget.
 """
 
 from __future__ import annotations
@@ -29,10 +32,20 @@ _SAFETY_NODES = (np.arange(_SAFETY_SAMPLES) + 0.5) / _SAFETY_SAMPLES
 _SAFETY_WEIGHTS = np.full(_SAFETY_SAMPLES, 1.0 / _SAFETY_SAMPLES)
 # spline waypoints seeded from a sub-problem's states
 _MAX_WAYPOINTS = 9
-# lbfgs: gradient tolerance, stall threshold on the relative decrease, and
-# number of curvature pairs kept
+# lbfgs stops once the solve has converged relative to the problem's own
+# scale, by the two tests of LBFGS-Lite:
+# - _G_TOL: ||g||_inf <= _G_TOL * max(1, ||x||_inf);
+# - _F_REL_TOL: the decrease over the last _PAST accepted iterations,
+#   (f_{k-_PAST} - f_k) / max(1, |f_k|), is below it.
+# The accuracy target is the cost to five significant digits.  The costs are
+# of order 1e2-1e4 and their time term alone weighs lam_t = 20 per second, so
+# a solve stops when three more iterations would buy under 0.1 cost units,
+# at most 5 ms of trajectory time.  An absolute threshold on |g| or on the
+# decrease would be strict at one cost scale and loose at another.
 _G_TOL = 1e-5
-_F_REL_TOL = 1e-8
+_F_REL_TOL = 1e-5
+_PAST = 3
+# number of curvature pairs kept
 _MEMORY = 8
 
 
@@ -100,16 +113,19 @@ class OptOutcome:
 def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
-    fun(x) -> (f, grad).  Accepted steps never increase f; a line search
-    that finds no acceptable step ends the descent at the last accepted
-    point, unconverged.  Returns (x, f, iterations, converged).
+    fun(x) -> (f, grad).  Accepted steps never increase f.  The descent has
+    converged when ||g||_inf <= _G_TOL * max(1, ||x||_inf), or when the
+    relative decrease of f over the last _PAST accepted iterations is below
+    _F_REL_TOL; both tests are relative to the problem's own scale.  A line
+    search that finds no acceptable step ends the descent at the last
+    accepted point, unconverged.  Returns (x, f, iterations, converged).
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun(x)
     history: deque = deque(maxlen=_MEMORY)  # the last (s, y, 1 / s.y) curvature pairs
+    past = deque([f], maxlen=_PAST + 1)  # f at the last accepted iterations
     it = 0
-    stall = 0  # consecutive iterations with negligible relative decrease
-    converged = bool(np.max(np.abs(g)) < _G_TOL)
+    converged = _stationary(x, g)
     while it < max_iter and not converged:
         # two-loop recursion
         q = g.copy()
@@ -149,12 +165,15 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int = 200):
         sy = np.dot(s_vec, y_vec)
         if sy > 1e-12:
             history.append((s_vec, y_vec, 1.0 / sy))
-        rel_drop = abs(f - f_new) / max(abs(f), 1.0)
-        stall = stall + 1 if rel_drop < _F_REL_TOL else 0
         x, f, g = x_new, f_new, g_new
-        if np.max(np.abs(g)) < _G_TOL or stall >= 3:
-            converged = True
+        past.append(f)
+        converged = _stationary(x, g) or (
+            len(past) > _PAST and past[0] - f < _F_REL_TOL * max(abs(f), 1.0))
     return x, f, it, converged
+
+
+def _stationary(x: np.ndarray, g: np.ndarray) -> bool:
+    return bool(np.max(np.abs(g)) <= _G_TOL * max(1.0, float(np.max(np.abs(x)))))
 
 
 def _dynamics_penalty(traj: Trajectory, weights: Weights):
@@ -227,38 +246,60 @@ def se2_cost(traj: Trajectory, weights: Weights, shape: RobotShape,
 def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
             anchor_yaws: np.ndarray, anchor_fractions: np.ndarray):
     """Weighted R^2 cost: smoothness, time, and position/heading residuals
-    against anchors placed at fixed arc-length fractions of the timeline.
+    against the anchor curve, the piecewise-linear interpolation of the
+    anchors placed at fixed fractions of the timeline.
+
+    A sample at time t tracks the curve at u = t / T_total.  Changing a
+    duration moves u, so the sample slides along the curve: that partial,
+    dJ/dT_j -= (1/T_total) [sum_{i>j} sum_q h_iq + sum_q h_jq s_q
+    - sum_iq h_iq u_iq] with h_iq = T_i w_q (dg/dx . da/du), is added to the
+    one time_integral gives with the anchors held fixed.  The cost is thus
+    continuous in the durations and its gradient exact.
 
     Returns (cost, grad_c, grad_T).
     """
     jm, gc_m, gt_m = minco.control_effort_gradients(traj)
-    jt = traj.total_duration
+    total = traj.total_duration
     # the position residual is a squared distance, so the ramp width must be
     # much tighter than mu: a dead band of mu on dist^2 would let the
     # trajectory drift sqrt(mu) (centimeters) off anchors routed along
     # tight-clearance corridors
     mu_p = weights.mu / 10
     nodes, wq = minco.GAUSS_16
-    anchor_times = anchor_fractions * traj.total_duration
-    times = traj.start_times[:, None] + traj.durations[:, None] * nodes  # (M, Q)
-    idx = np.argmin(np.abs(times[:, :, None] - anchor_times), axis=2)  # nearest anchor
+    u = (traj.start_times[:, None] + traj.durations[:, None] * nodes) / total  # (M, Q)
+    # da/du of each anchor segment, 0 on a zero-length one; side="right"
+    # picks such a segment only for u past the last fraction
+    anchors = np.column_stack([anchor_positions, anchor_yaws])  # (K, 3)
+    rise, run = np.diff(anchors, axis=0), np.diff(anchor_fractions)[:, None]
+    seg_slope = np.divide(rise, run, out=np.zeros_like(rise), where=run > 0)
+    seg = np.clip(np.searchsorted(anchor_fractions, u, side="right") - 1,
+                  0, len(anchor_fractions) - 2)
+    slope = seg_slope[seg]  # (M, Q, 3)
+    target = anchors[seg] + (u - anchor_fractions[seg])[..., None] * slope
+    along = np.empty_like(u)  # dg/dx . da/du at each sample
 
     def residuals(state):
         # the position and heading residuals read disjoint channels of the
         # same samples, so one integrand carries both, each with its weight
-        dp = state[..., :2] - anchor_positions[idx]
+        diff = state - target
+        dp = diff[..., :2]
         pv, dv = smoothing_grad(np.sum(dp * dp, axis=-1), mu_p)
-        dyaw = state[..., 2] - anchor_yaws[idx]
+        dyaw = diff[..., 2]
         pr, dr = smoothing_grad(4 * (1 - np.cos(dyaw)), weights.mu)
         dg = np.empty_like(state)
         dg[..., :2] = (weights.lam_p * dv * 2)[..., None] * dp
         dg[..., 2] = weights.lam_r * dr * 4 * np.sin(dyaw)
+        along[...] = np.einsum("mqd,mqd->mq", dg, slope)
         return weights.lam_p * pv + weights.lam_r * pr, dg
 
     jg, gc_g, gt_g = minco.time_integral(traj, residuals, 0, nodes, wq)
-    cost = weights.lam_m * jm + weights.lam_t * jt + jg
+    h = traj.durations[:, None] * wq * along  # (M, Q)
+    per_piece = h.sum(axis=1)
+    later = per_piece.sum() - np.cumsum(per_piece)  # sum over pieces i > j
+    gt_a = -(later + h @ nodes - np.sum(h * u)) / total
+    cost = weights.lam_m * jm + weights.lam_t * total + jg
     grad_c = weights.lam_m * gc_m + gc_g
-    grad_t = weights.lam_m * gt_m + weights.lam_t + gt_g
+    grad_t = weights.lam_m * gt_m + weights.lam_t + gt_g + gt_a
     return cost, grad_c, grad_t
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 import se2plan.optimize
-from se2plan.minco import MincoSpline, construct, control_effort
+from se2plan.minco import MincoSpline, Trajectory, construct, control_effort
 from se2plan.optimize import (DegenerateInputError, Weights, _dynamics_penalty,
                               _safety_penalty, _sigmoid, lbfgs, r2_cost, r2_optimize, se2_cost,
                               se2_optimize, smoothing_grad)
@@ -102,6 +102,25 @@ def test_lbfgs_rosenbrock():
     x, f, it, converged = lbfgs(fun, np.array([-1.2, 1.0]), max_iter=500)
     assert f < 1e-6
     assert np.allclose(x, [1.0, 1.0], atol=1e-2)
+
+
+def test_lbfgs_stops_converged_on_a_large_noisy_objective():
+    # an ill-conditioned bowl of order 1e4 in 30 parameters (the cost scale
+    # and size of an R^2 solve) whose gradient carries noise of 1e-3, so
+    # max|g| never falls below 1e-5: the solve converges relative to its own
+    # scale, well before its budget, and close to the minimum
+    rng = np.random.default_rng(0)
+    target = np.linspace(-2.0, 3.0, 30)
+    curvature = np.geomspace(1.0, 1e-4, 30)
+
+    def fun(x):
+        d = x - target
+        return (1e4 * (1.0 + d @ (curvature * d)),
+                2e4 * curvature * d + rng.uniform(-1e-3, 1e-3, d.size))
+
+    x, f, it, converged = lbfgs(fun, np.zeros(30), max_iter=200)
+    assert converged and it < 150
+    assert f - 1e4 < 1e-3 * 1e4
 
 
 def test_lbfgs_failed_line_search_returns_the_last_accepted_point():
@@ -205,7 +224,7 @@ def test_se2_cost_gradients_match_fd(rng, slim_rect):
 
 def test_r2_cost_exact_anchor_tracking_zero_residual(slim_rect):
     # trajectory that sits exactly on a straight constant-yaw anchor line;
-    # anchors dense enough that nearest-anchor residuals are negligible
+    # the interpolated anchor curve is the trajectory's own line
     n_anchors = 201
     anchors = np.stack([np.linspace(0, 1, n_anchors), np.zeros(n_anchors)], axis=1)
     yaws = np.zeros(n_anchors)
@@ -237,6 +256,39 @@ def test_r2_cost_gradients_match_fd(rng):
             return r2_cost(traj, weights, anchors, yaws, fractions)
 
         _fd_check_cost(spline, wps, durs, cost_of, rng=rng)
+
+
+def test_r2_cost_is_continuous_in_the_durations():
+    # move the durations +-0.2 % along a fixed direction (coefficients held,
+    # as in r2_cost's duration partial) at 4001 points: every step of the cost
+    # matches the trapezoid of its duration gradient to rounding, so no
+    # anchor switch makes the cost jump where the gradient does not see it
+    rng = np.random.default_rng(26)
+    m = 6
+    start = np.zeros((3, 3))
+    end = np.zeros((3, 3))
+    end[0] = [3.0, 1.0, 0.8]
+    waypoints = np.column_stack([np.linspace(0.0, 3.0, m + 1)[1:-1],
+                                 rng.uniform(-0.3, 1.3, m - 1), rng.uniform(-0.5, 1.0, m - 1)])
+    _, traj = construct(start, end, waypoints, rng.uniform(0.5, 1.5, m))
+    ts = np.linspace(0.0, traj.total_duration, 24)
+    anchors = traj.eval_many(ts, 0) + rng.uniform(-0.15, 0.15, (24, 3))
+    # a repeated anchor: a zero-length segment of the anchor curve
+    anchors = np.insert(anchors, 10, anchors[10], axis=0)
+    fractions = np.insert(ts / ts[-1], 10, ts[10] / ts[-1])
+    direction = rng.normal(size=m)
+    direction /= np.linalg.norm(direction)
+    durations = traj.durations * (1 + np.linspace(-0.002, 0.002, 4001)[:, None] * direction)
+    costs, grads = [], []
+    for t in durations:
+        cost, _, grad_t = r2_cost(Trajectory(t, traj.coeffs), Weights(), anchors[:, :2],
+                                  anchors[:, 2], fractions)
+        costs.append(cost)
+        grads.append(grad_t)
+    costs, grads = np.array(costs), np.array(grads)
+    assert np.all(np.isfinite(grads)) and costs.min() > 100.0
+    predicted = 0.5 * np.sum((grads[1:] + grads[:-1]) * np.diff(durations, axis=0), axis=1)
+    assert np.max(np.abs(np.diff(costs) - predicted)) <= 1e-12 * costs.max()
 
 
 def make_sub(kind, positions, yaws=None, risks=None):

@@ -1,7 +1,8 @@
 """minco.time_integral against per-piece reference loops.
 
 Each reference below is the per-piece loop that evaluated its cost term before
-every term became an integrand of the one vectorised quadrature.  The
+every term became an integrand of the one vectorised quadrature (the R^2
+residuals' loop since interpolates the anchors per sample, as r2_cost does).  The
 arithmetic is the same but its summation order is not, so each value, and
 each gradient (dJ/dc and dJ/dT as one vector, in the 2-norm), must agree to a
 relative 1e-12 (summation-order rounding is about 1e-13 here).
@@ -115,26 +116,42 @@ def ref_safety_penalty(traj, weights, shape, obstacles, n_samples=16):
 
 
 def ref_r2_residuals(traj, weights, anchor_positions, anchor_yaws, anchor_fractions):
-    """(lam_p G_p + lam_r G_R, G_p, G_R, grad_c, grad_t) of the residual terms."""
+    """(lam_p G_p + lam_r G_R, G_p, G_R, grad_c, grad_t) of the residual terms.
+
+    Each sample tracks the anchor curve at its time fraction u = t / T_total,
+    interpolated per sample with np.interp.  A duration change moves u, so
+    every sample's residual also reaches every duration through the anchor
+    curve's slope: du/dT_j = ([j < i] + [j == i] s - u) / T_total for a
+    sample at fraction s of piece i."""
     mu_p = weights.mu / 10
-    anchor_times = anchor_fractions * traj.total_duration
+    total = traj.total_duration
     gp_total = 0.0
     gr_total = 0.0
     grad_c = np.zeros_like(traj.coeffs)
     grad_t = np.zeros(traj.n_pieces)
+    s = (_NODES + 1) / 2
     for i in range(traj.n_pieces):
         ti = traj.durations[i]
         t0 = traj.start_times[i]
-        taus = (_NODES + 1) / 2 * ti
+        taus = s * ti
         c = traj.coeffs[i]
         b0 = basis_many(taus, 0)
         b1 = basis_many(taus, 1)
         states = b0 @ c
         vel = b1 @ c
-        idx = np.argmin(np.abs((t0 + taus)[:, None] - anchor_times[None, :]), axis=1)
-        dp = states[:, :2] - anchor_positions[idx]
+        u = (t0 + taus) / total
+        anchor = np.empty_like(states)
+        slope = np.empty_like(states)
+        for q in range(len(u)):
+            k = max(j for j in range(len(anchor_fractions) - 1) if anchor_fractions[j] <= u[q])
+            run = anchor_fractions[k + 1] - anchor_fractions[k]
+            for d, values in enumerate((anchor_positions[:, 0], anchor_positions[:, 1],
+                                        anchor_yaws)):
+                anchor[q, d] = np.interp(u[q], anchor_fractions, values)
+                slope[q, d] = (values[k + 1] - values[k]) / run
+        dp = states[:, :2] - anchor[:, :2]
         pv, dv = smoothing_grad(np.sum(dp * dp, axis=1), mu_p)
-        dyaw = states[:, 2] - anchor_yaws[idx]
+        dyaw = states[:, 2] - anchor[:, 2]
         pr, dr = smoothing_grad(4 * (1 - np.cos(dyaw)), weights.mu)
         gp_total += float(ti / 2 * np.sum(_WEIGHTS * pv))
         gr_total += float(ti / 2 * np.sum(_WEIGHTS * pr))
@@ -145,7 +162,11 @@ def ref_r2_residuals(traj, weights, anchor_positions, anchor_yaws, anchor_fracti
         g_vals = weights.lam_p * pv + weights.lam_r * pr
         dgdtau = np.sum(dg_dstate * vel, axis=1)
         grad_t[i] += float(0.5 * np.sum(_WEIGHTS * g_vals)
-                           + ti / 2 * np.sum(_WEIGHTS * dgdtau * (_NODES + 1) / 2))
+                           + ti / 2 * np.sum(_WEIGHTS * dgdtau * s))
+        # the anchor a sample tracks moves with u: dg/da = -dg/dx
+        h = ti / 2 * _WEIGHTS * np.sum(dg_dstate * slope, axis=1)
+        for j in range(traj.n_pieces):
+            grad_t[j] -= float(np.sum(h * ((j < i) + (j == i) * s - u) / total))
     value = weights.lam_p * gp_total + weights.lam_r * gr_total
     return value, gp_total, gr_total, grad_c, grad_t
 
