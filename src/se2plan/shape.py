@@ -133,8 +133,8 @@ class RobotShape:
     def _to_body(self, points, position, yaw):
         """World points seen from a pose (reference point at `position`, body
         turned by `yaw`), in the polygon's frame; also returns the world
-        offsets d and cos/sin of the yaw.  The only place a world point is
-        taken into the body frame."""
+        offsets (dx, dy) from the pose and cos/sin of the yaw.  The only
+        place a world point is taken into the body frame."""
         d = np.asarray(points, dtype=float) - np.asarray(position, dtype=float)
         dx, dy = d[..., 0], d[..., 1]
         c, s = np.cos(yaw), np.sin(yaw)
