@@ -2,11 +2,11 @@
 
 SE(2) sub-problems minimize smoothness + total time + swept-volume safety +
 dynamic-limit penalties over MINCO waypoint/duration parameters; R^2
-sub-problems replace the safety term with position/heading residuals against
-the anchor curve, the motion-sequence states interpolated against their
-arc-length fractions of the timeline.  All penalty terms go through the same
-C^2 smoothed ramp, so every cost and its gradient are continuous.  Each
-time-integrated term is an integrand handed to minco.time_integral, which
+sub-problems fix their yaw waypoints on the junction-to-junction ramp and
+replace the safety term with a position residual against the anchor curve,
+the states' positions interpolated against their arc-length fractions.  All
+penalty terms go through the same C^2 smoothed ramp, so every cost and its
+gradient are continuous.  Each time-integrated term is an integrand handed to minco.time_integral, which
 owns the chain rule to the spline coefficients and durations.  lbfgs solves
 each sub-problem until it has converged relative to the problem's own scale,
 or until its iteration budget.
@@ -77,7 +77,6 @@ class Weights:
     lam_s: float = 1e4
     lam_d: float = 1e3
     lam_p: float = 1e3
-    lam_r: float = 1e3
     mu: float = 0.01
     d_safe: float = 0.02
     v_max: float = 1.0
@@ -85,7 +84,7 @@ class Weights:
 
     def __post_init__(self):
         # written as `not ...` so that NaN fails too
-        for name in ("lam_m", "lam_t", "lam_s", "lam_d", "lam_p", "lam_r", "d_safe"):
+        for name in ("lam_m", "lam_t", "lam_s", "lam_d", "lam_p", "d_safe"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be >= 0 and finite")
         for name in ("mu", "v_max", "w_max"):
@@ -243,11 +242,11 @@ def se2_cost(traj: Trajectory, weights: Weights, shape: RobotShape,
     return cost, grad_c, grad_t
 
 
-def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
-            anchor_yaws: np.ndarray, anchor_fractions: np.ndarray):
-    """Weighted R^2 cost: smoothness, time, and position/heading residuals
-    against the anchor curve, the piecewise-linear interpolation of the
-    anchors placed at fixed fractions of the timeline.
+def r2_cost(traj: Trajectory, weights: Weights, anchors: np.ndarray,
+            anchor_fractions: np.ndarray):
+    """Weighted R^2 cost: smoothness, time, and a position residual against
+    the anchor curve, the piecewise-linear interpolation of the (K, 2) anchor
+    positions placed at fixed fractions of the timeline; yaw has no residual.
 
     A sample at time t tracks the curve at u = t / T_total.  Changing a
     duration moves u, so the sample slides along the curve: that partial,
@@ -269,30 +268,23 @@ def r2_cost(traj: Trajectory, weights: Weights, anchor_positions: np.ndarray,
     u = (traj.start_times[:, None] + traj.durations[:, None] * nodes) / total  # (M, Q)
     # da/du of each anchor segment, 0 on a zero-length one; side="right"
     # picks such a segment only for u past the last fraction
-    anchors = np.column_stack([anchor_positions, anchor_yaws])  # (K, 3)
     rise, run = np.diff(anchors, axis=0), np.diff(anchor_fractions)[:, None]
     seg_slope = np.divide(rise, run, out=np.zeros_like(rise), where=run > 0)
     seg = np.clip(np.searchsorted(anchor_fractions, u, side="right") - 1,
                   0, len(anchor_fractions) - 2)
-    slope = seg_slope[seg]  # (M, Q, 3)
+    slope = seg_slope[seg]  # (M, Q, 2)
     target = anchors[seg] + (u - anchor_fractions[seg])[..., None] * slope
     along = np.empty_like(u)  # dg/dx . da/du at each sample
 
-    def residuals(state):
-        # the position and heading residuals read disjoint channels of the
-        # same samples, so one integrand carries both, each with its weight
-        diff = state - target
-        dp = diff[..., :2]
+    def residual(state):
+        dp = state[..., :2] - target
         pv, dv = smoothing_grad(np.sum(dp * dp, axis=-1), mu_p)
-        dyaw = diff[..., 2]
-        pr, dr = smoothing_grad(4 * (1 - np.cos(dyaw)), weights.mu)
-        dg = np.empty_like(state)
+        dg = np.zeros_like(state)
         dg[..., :2] = (weights.lam_p * dv * 2)[..., None] * dp
-        dg[..., 2] = weights.lam_r * dr * 4 * np.sin(dyaw)
-        along[...] = np.einsum("mqd,mqd->mq", dg, slope)
-        return weights.lam_p * pv + weights.lam_r * pr, dg
+        along[...] = np.einsum("mqd,mqd->mq", dg[..., :2], slope)
+        return weights.lam_p * pv, dg
 
-    jg, gc_g, gt_g = minco.time_integral(traj, residuals, 0, nodes, wq)
+    jg, gc_g, gt_g = minco.time_integral(traj, residual, 0, nodes, wq)
     h = traj.durations[:, None] * wq * along  # (M, Q)
     per_piece = h.sum(axis=1)
     later = per_piece.sum() - np.cumsum(per_piece)  # sum over pieces i > j
@@ -337,11 +329,12 @@ def _arc_fractions(positions: np.ndarray) -> np.ndarray:
     return np.linspace(0.0, 1.0, len(positions))
 
 
-def _sub_geometry(sub, v_max: float):
-    """The spline and packed initial parameters of a sub-problem, and the
-    positions and seed yaws of all its states: waypoints are decimated
-    states, yaws are unwrapped from the states' kernel yaws, and durations
-    come from arc length at half v_max."""
+def _sub_geometry(sub, v_max: float, n_fixed: int):
+    """A sub-problem's spline, packed initial parameters x, fixed block (the
+    last n_fixed channels of the interior waypoints; x packs the others and
+    the durations) and state positions.  Waypoints are decimated states, an
+    R2 sub's yaws ramp in arc fraction between its junction yaws, and
+    durations come from arc length at half v_max."""
     positions, yaws_raw = sub.states[:, :2], sub.states[:, 2]
     if sub.kind == "R2":
         # translation-dominant slice: interior orientation picks are per-point
@@ -370,33 +363,38 @@ def _sub_geometry(sub, v_max: float):
     end = np.zeros((3, 3))
     start[0] = q[0]
     end[0] = q[-1]
-    x = np.concatenate([q[1:-1].ravel(), _softplus_inv(durations)])
-    return MincoSpline(start, end, len(durations)), x, positions, yaws
+    free = q.shape[1] - n_fixed
+    x = np.concatenate([q[1:-1, :free].ravel(), _softplus_inv(durations)])
+    return MincoSpline(start, end, len(durations)), x, q[1:-1, free:], positions
 
 
-def _solve(spline: MincoSpline, x: np.ndarray, cost_fn, budget: int):
-    """Minimize cost_fn(trajectory) over the spline's interior waypoints and
-    softplus-mapped durations, packed in x, starting from x.  Returns
-    (x, trajectory, iterations, converged)."""
-    nq = (spline.n_pieces - 1) * spline.dim
+def _solve(spline: MincoSpline, x: np.ndarray, fixed: np.ndarray, cost_fn, budget: int):
+    """Minimize cost_fn(trajectory) over the spline's interior waypoints,
+    less their (M-1, k) block of fixed trailing channels, and softplus-mapped
+    durations, packed in x, from x.  Returns (x, trajectory, iterations, converged)."""
+    free = spline.dim - fixed.shape[1]
+    nq = (spline.n_pieces - 1) * free
+
+    def trajectory(x):
+        waypoints = np.hstack([x[:nq].reshape(-1, free), fixed])
+        return spline.set_params(waypoints, _softplus(x[nq:]))
 
     def objective(x):
-        traj = spline.set_params(x[:nq], _softplus(x[nq:]))
-        cost, grad_c, grad_t = cost_fn(traj)
+        cost, grad_c, grad_t = cost_fn(trajectory(x))
         gq, gt = spline.gradients(grad_c, grad_t)
         sig = np.array([_sigmoid(tau) for tau in x[nq:]])  # d softplus / d tau
-        return cost, np.concatenate([gq.ravel(), gt * sig])
+        return cost, np.concatenate([gq[:, :free].ravel(), gt * sig])
 
     x, _, iterations, converged = lbfgs(objective, x, max_iter=budget)
-    return x, spline.set_params(x[:nq], _softplus(x[nq:])), iterations, converged
+    return x, trajectory(x), iterations, converged
 
 
 def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
                  budget: int) -> OptOutcome:
-    """Optimize one high-risk sub-problem in full SE(2) with swept-volume
-    safety; the outcome's collision_free flag is set by an independent
-    continuous collision check at zero margin."""
-    spline, x, positions, _ = _sub_geometry(sub, weights.v_max)
+    """Optimize one sub-problem (of either kind) in full SE(2), yaw free, with
+    swept-volume safety; the outcome's collision_free flag is set by an
+    independent continuous collision check at zero margin."""
+    spline, x, fixed, positions = _sub_geometry(sub, weights.v_max, 0)
     obstacles = extract_obstacles(grid, positions,
                                   shape.circumradius + weights.d_safe + 2 * grid.resolution)
     iterations = 0
@@ -407,7 +405,7 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
     for w in (weights, replace(weights, lam_s=weights.lam_s * 10.0)):
         # quadrature guidance only; the continuous check below stays strict
         x, traj, it, converged = _solve(
-            spline, x, lambda t: se2_cost(t, w, shape, obstacles), budget)
+            spline, x, fixed, lambda t: se2_cost(t, w, shape, obstacles), budget)
         iterations += it
         clear = continuous_check(traj, shape, grid).clear
         if clear:
@@ -416,11 +414,11 @@ def se2_optimize(sub, weights: Weights, shape: RobotShape, grid: OccupancyGrid,
 
 
 def r2_optimize(sub, weights: Weights, budget: int) -> OptOutcome:
-    """Optimize a low-risk sub-problem with residual tracking only; final
-    safety is certified by the pipeline's continuous check of the returned
-    sub-trajectory."""
-    spline, x, positions, yaws = _sub_geometry(sub, weights.v_max)
+    """Optimize a low-risk sub-problem in R^2, its yaw waypoints fixed on
+    their ramp, by position tracking only; final safety is certified by the
+    pipeline's continuous check of the returned sub-trajectory."""
+    spline, x, fixed, positions = _sub_geometry(sub, weights.v_max, 1)
     fractions = _arc_fractions(positions)
     _, traj, iterations, converged = _solve(
-        spline, x, lambda t: r2_cost(t, weights, positions, yaws, fractions), budget)
+        spline, x, fixed, lambda t: r2_cost(t, weights, positions, fractions), budget)
     return OptOutcome(traj, converged, iterations)

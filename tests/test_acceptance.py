@@ -101,9 +101,8 @@ def test_criterion_02_gradient_suite_matches_finite_differences():
     shape = rectangle(1.0, 0.2)
     obstacles = np.array([[0.6, 0.6], [0.9, 0.1], [0.3, 0.8]])
     se2_weights = Weights(d_safe=0.05, lam_s=10.0, lam_d=5.0, v_max=0.8, w_max=1.0)
-    r2_weights = Weights(lam_p=10.0, lam_r=10.0)
+    r2_weights = Weights(lam_p=10.0)
     anchors = rng.uniform(0, 1, (4, 2))
-    anchor_yaws = rng.uniform(-0.5, 0.5, 4)
     fractions = np.linspace(0, 1, 4)
 
     def effort_cost(traj):
@@ -114,7 +113,7 @@ def test_criterion_02_gradient_suite_matches_finite_differences():
         return se2_cost(traj, se2_weights, shape, obstacles)
 
     def r2_full(traj):
-        return r2_cost(traj, r2_weights, anchors, anchor_yaws, fractions)
+        return r2_cost(traj, r2_weights, anchors, fractions)
 
     for cost_of in (effort_cost, se2_full, r2_full):
         for _ in range(50):

@@ -163,6 +163,12 @@ def test_config_validation_errors(tmp_path):
                      ("start = 0.5 0.5 0", "start = inf 0.5 0")):
         cfg = write_scene(tmp_path, empty_grid(30), cfg_text=text.replace(old, new))
         assert main(["plan", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    # an R^2 sub's yaw rides a fixed ramp, so there is no heading weight lam_r
+    cfg = write_scene(tmp_path, empty_grid(30),
+                      cfg_text=text.replace("lam_t = 20.0", "lam_r = 1000.0"))
+    with pytest.raises(ConfigError, match="unknown weights key 'lam_r'"):
+        load_run_config(cfg)
+    assert main(["plan", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     # a negative seed is a configuration error, in the file and on the command line
     cfg = write_scene(tmp_path, empty_grid(30), cfg_text=text.replace("seed = 0", "seed = -1"))
     with pytest.raises(ConfigError, match="seed must be >= 0"):

@@ -71,7 +71,7 @@ def test_weights_validation():
             with pytest.raises(ValueError, match=f"{name} must be > 0"):
                 Weights(**{name: bad})
     # NaN and infinite values fail here, not inside the solver
-    for name in ("lam_m", "lam_t", "lam_s", "lam_d", "lam_p", "lam_r", "d_safe"):
+    for name in ("lam_m", "lam_t", "lam_s", "lam_d", "lam_p", "d_safe"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
                 Weights(**{name: bad})
@@ -223,11 +223,10 @@ def test_se2_cost_gradients_match_fd(rng, slim_rect):
 
 
 def test_r2_cost_exact_anchor_tracking_zero_residual(slim_rect):
-    # trajectory that sits exactly on a straight constant-yaw anchor line;
-    # the interpolated anchor curve is the trajectory's own line
+    # trajectory that sits exactly on a straight anchor line; the
+    # interpolated anchor curve is the trajectory's own line
     n_anchors = 201
     anchors = np.stack([np.linspace(0, 1, n_anchors), np.zeros(n_anchors)], axis=1)
-    yaws = np.zeros(n_anchors)
     start = np.zeros((3, 3))
     end = np.zeros((3, 3))
     start[0] = [0, 0, 0]
@@ -235,25 +234,20 @@ def test_r2_cost_exact_anchor_tracking_zero_residual(slim_rect):
     start[1, 0] = end[1, 0] = 0.5  # constant-velocity straight line
     _, traj = construct(start, end, np.array([[0.5, 0.0, 0.0]]), [1.0, 1.0])
     fractions = np.linspace(0, 1, n_anchors)
-    # each residual alone: the cost with every other weight zeroed
-    g_p, _, _ = r2_cost(traj, Weights(lam_m=0.0, lam_t=0.0, lam_p=1.0, lam_r=0.0),
-                        anchors, yaws, fractions)
-    g_r, _, _ = r2_cost(traj, Weights(lam_m=0.0, lam_t=0.0, lam_p=0.0, lam_r=1.0),
-                        anchors, yaws, fractions)
+    # the residual alone: the cost with every other weight zeroed
+    g_p, _, _ = r2_cost(traj, Weights(lam_m=0.0, lam_t=0.0, lam_p=1.0), anchors, fractions)
     assert g_p == pytest.approx(0.0, abs=1e-9)
-    assert g_r == pytest.approx(0.0, abs=1e-9)
 
 
 def test_r2_cost_gradients_match_fd(rng):
     anchors = rng.uniform(0, 1, (4, 2))
-    yaws = rng.uniform(-0.5, 0.5, 4)
     fractions = np.linspace(0, 1, 4)
-    weights = Weights(lam_p=10.0, lam_r=10.0)
+    weights = Weights(lam_p=10.0)
     for _ in range(5):
         spline, wps, durs = random_se2_setup(rng)
 
         def cost_of(traj):
-            return r2_cost(traj, weights, anchors, yaws, fractions)
+            return r2_cost(traj, weights, anchors, fractions)
 
         _fd_check_cost(spline, wps, durs, cost_of, rng=rng)
 
@@ -282,7 +276,7 @@ def test_r2_cost_is_continuous_in_the_durations():
     costs, grads = [], []
     for t in durations:
         cost, _, grad_t = r2_cost(Trajectory(t, traj.coeffs), Weights(), anchors[:, :2],
-                                  anchors[:, 2], fractions)
+                                  fractions)
         costs.append(cost)
         grads.append(grad_t)
     costs, grads = np.array(costs), np.array(grads)
@@ -311,6 +305,40 @@ def test_r2_optimize_straight_line(slim_rect):
     end = out.trajectory.eval_many([out.trajectory.total_duration], 0)[0]
     assert np.allclose(start[:2], [0.3, 1.0], atol=1e-9)
     assert np.allclose(end[:2], [2.0, 1.0], atol=1e-9)
+
+
+def test_r2_solve_fixes_yaw_on_its_ramp_and_se2_re_solve_keeps_it_free(monkeypatch,
+                                                                      slim_rect):
+    # an R^2 solve packs the (x, y) waypoints and the durations, 2(M-1) + M
+    # variables, and holds each interior yaw waypoint on the ramp in arc
+    # fraction between the junction yaws; the SE(2) re-solve of the same R2
+    # sub (as after a failed check) packs all 3(M-1) + M
+    sizes = []
+    solve = se2plan.optimize.lbfgs
+
+    def recording_lbfgs(fun, x0, **kwargs):
+        sizes.append(len(x0))
+        return solve(fun, x0, **kwargs)
+
+    monkeypatch.setattr(se2plan.optimize, "lbfgs", recording_lbfgs)
+    # nine states, so every state is a waypoint; the junction yaws 3.0 and
+    # -3.0 are 0.283 apart through pi, and the interior yaws are ignored
+    n = 9
+    positions = np.column_stack([np.linspace(0.4, 2.4, n),
+                                 1.5 + 0.2 * np.sin(np.linspace(0.0, 3.0, n))])
+    yaws = np.concatenate([[3.0], np.random.default_rng(7).uniform(-np.pi, np.pi, n - 2),
+                           [-3.0]])
+    sub = make_sub("R2", positions, yaws)
+    traj = r2_optimize(sub, Weights(), budget=40).trajectory
+    m = traj.n_pieces
+    assert m == n - 1 and sizes == [2 * (m - 1) + m]
+    arc = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(positions, axis=0).T))])
+    ramp = 3.0 + arc / arc[-1] * (2 * np.pi - 6.0)
+    at_waypoints = traj.eval_many(np.cumsum(traj.durations)[:-1], 0)[:, 2]
+    assert np.max(np.abs(at_waypoints - ramp[1:-1])) <= 1e-9
+    sizes.clear()
+    se2_optimize(sub, Weights(), slim_rect, empty_grid(30), budget=20)
+    assert sizes and set(sizes) == {3 * (m - 1) + m}
 
 
 def test_degenerate_subproblem_raises():

@@ -2,10 +2,11 @@
 
 Each reference below is the per-piece loop that evaluated its cost term before
 every term became an integrand of the one vectorised quadrature (the R^2
-residuals' loop since interpolates the anchors per sample, as r2_cost does).  The
-arithmetic is the same but its summation order is not, so each value, and
-each gradient (dJ/dc and dJ/dT as one vector, in the 2-norm), must agree to a
-relative 1e-12 (summation-order rounding is about 1e-13 here).
+residual's loop since interpolates the anchors per sample, as r2_cost does, and
+tracks positions only).  The arithmetic is the same but its summation order is
+not, so each value, and each gradient (dJ/dc and dJ/dT as one vector, in the
+2-norm), must agree to a relative 1e-12 (summation-order rounding is about
+1e-13 here).
 """
 
 from dataclasses import replace
@@ -115,8 +116,8 @@ def ref_safety_penalty(traj, weights, shape, obstacles, n_samples=16):
     return value, grad_c, grad_t
 
 
-def ref_r2_residuals(traj, weights, anchor_positions, anchor_yaws, anchor_fractions):
-    """(lam_p G_p + lam_r G_R, G_p, G_R, grad_c, grad_t) of the residual terms.
+def ref_r2_residuals(traj, weights, anchor_positions, anchor_fractions):
+    """(lam_p G_p, G_p, grad_c, grad_t) of the position residual term.
 
     Each sample tracks the anchor curve at its time fraction u = t / T_total,
     interpolated per sample with np.interp.  A duration change moves u, so
@@ -126,7 +127,6 @@ def ref_r2_residuals(traj, weights, anchor_positions, anchor_yaws, anchor_fracti
     mu_p = weights.mu / 10
     total = traj.total_duration
     gp_total = 0.0
-    gr_total = 0.0
     grad_c = np.zeros_like(traj.coeffs)
     grad_t = np.zeros(traj.n_pieces)
     s = (_NODES + 1) / 2
@@ -140,35 +140,29 @@ def ref_r2_residuals(traj, weights, anchor_positions, anchor_yaws, anchor_fracti
         states = b0 @ c
         vel = b1 @ c
         u = (t0 + taus) / total
-        anchor = np.empty_like(states)
-        slope = np.empty_like(states)
+        anchor = np.empty((len(u), 2))
+        slope = np.empty((len(u), 2))
         for q in range(len(u)):
             k = max(j for j in range(len(anchor_fractions) - 1) if anchor_fractions[j] <= u[q])
             run = anchor_fractions[k + 1] - anchor_fractions[k]
-            for d, values in enumerate((anchor_positions[:, 0], anchor_positions[:, 1],
-                                        anchor_yaws)):
+            for d, values in enumerate((anchor_positions[:, 0], anchor_positions[:, 1])):
                 anchor[q, d] = np.interp(u[q], anchor_fractions, values)
                 slope[q, d] = (values[k + 1] - values[k]) / run
-        dp = states[:, :2] - anchor[:, :2]
+        dp = states[:, :2] - anchor
         pv, dv = smoothing_grad(np.sum(dp * dp, axis=1), mu_p)
-        dyaw = states[:, 2] - anchor[:, 2]
-        pr, dr = smoothing_grad(4 * (1 - np.cos(dyaw)), weights.mu)
         gp_total += float(ti / 2 * np.sum(_WEIGHTS * pv))
-        gr_total += float(ti / 2 * np.sum(_WEIGHTS * pr))
         dg_dstate = np.zeros_like(states)
         dg_dstate[:, :2] = weights.lam_p * (dv * 2)[:, None] * dp
-        dg_dstate[:, 2] = weights.lam_r * dr * 4 * np.sin(dyaw)
         grad_c[i] += (ti / 2) * np.einsum("q,qj,qd->jd", _WEIGHTS, b0, dg_dstate)
-        g_vals = weights.lam_p * pv + weights.lam_r * pr
+        g_vals = weights.lam_p * pv
         dgdtau = np.sum(dg_dstate * vel, axis=1)
         grad_t[i] += float(0.5 * np.sum(_WEIGHTS * g_vals)
                            + ti / 2 * np.sum(_WEIGHTS * dgdtau * s))
         # the anchor a sample tracks moves with u: dg/da = -dg/dx
-        h = ti / 2 * _WEIGHTS * np.sum(dg_dstate * slope, axis=1)
+        h = ti / 2 * _WEIGHTS * np.sum(dg_dstate[:, :2] * slope, axis=1)
         for j in range(traj.n_pieces):
             grad_t[j] -= float(np.sum(h * ((j < i) + (j == i) * s - u) / total))
-    value = weights.lam_p * gp_total + weights.lam_r * gr_total
-    return value, gp_total, gr_total, grad_c, grad_t
+    return weights.lam_p * gp_total, gp_total, grad_c, grad_t
 
 
 def ref_arc_length(traj):
@@ -266,32 +260,27 @@ def test_safety_cull_leaves_value_and_gradients_exactly_equal():
 
 
 def test_r2_residuals_match_loop():
-    # without the effort and time terms r2_cost is the residual terms alone
-    weights = Weights(lam_m=0.0, lam_t=0.0, lam_p=10.0, lam_r=10.0)
+    # without the effort and time terms r2_cost is the residual term alone
+    weights = Weights(lam_m=0.0, lam_t=0.0, lam_p=10.0)
     for rng, traj in random_trajectories(5):
         n = int(rng.integers(2, 12))
         anchors = rng.uniform(-2.0, 2.0, (n, 2))
-        yaws = rng.uniform(-1.0, 1.0, n)
         fractions = np.linspace(0.0, 1.0, n)
-        cost, grad_c, grad_t = r2_cost(traj, weights, anchors, yaws, fractions)
-        value, gp, gr, ref_c, ref_t = ref_r2_residuals(traj, weights, anchors, yaws, fractions)
-        # each residual alone: the cost with the other residual's weight zeroed
-        only_p = replace(weights, lam_p=1.0, lam_r=0.0)
-        only_r = replace(weights, lam_p=0.0, lam_r=1.0)
-        assert_rel(r2_cost(traj, only_p, anchors, yaws, fractions)[0], gp)
-        assert_rel(r2_cost(traj, only_r, anchors, yaws, fractions)[0], gr)
+        cost, grad_c, grad_t = r2_cost(traj, weights, anchors, fractions)
+        value, gp, ref_c, ref_t = ref_r2_residuals(traj, weights, anchors, fractions)
+        # the residual at unit weight
+        assert_rel(r2_cost(traj, replace(weights, lam_p=1.0), anchors, fractions)[0], gp)
         assert_term_rel((cost, grad_c, grad_t), (value, ref_c, ref_t))
 
 
 def test_r2_cost_samples_the_residuals_once(monkeypatch):
-    # one integral for the effort and one shared by both residuals
+    # one integral for the effort and one for the position residual
     calls = []
     original = se2plan.minco.time_integral
     monkeypatch.setattr(se2plan.minco, "time_integral",
                         lambda *args: calls.append(args[2]) or original(*args))
     rng, traj = next(random_trajectories(1))
-    r2_cost(traj, Weights(), rng.uniform(-2.0, 2.0, (4, 2)), rng.uniform(-1.0, 1.0, 4),
-            np.linspace(0.0, 1.0, 4))
+    r2_cost(traj, Weights(), rng.uniform(-2.0, 2.0, (4, 2)), np.linspace(0.0, 1.0, 4))
     assert calls == [3, 0]
 
 
