@@ -162,22 +162,19 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
 
 
 def extract_obstacles(grid: OccupancyGrid, positions, pad: float) -> np.ndarray:
-    """Centers of occupied cells within the axis-aligned square centred on
-    the bounding box of `positions` ((N, 2), or one (2,) point) whose half
-    side is pad plus half the box's longer side.  The square contains every
-    point within pad of a position.
+    """Centers of occupied cells inside the axis-aligned bounding box of
+    `positions` ((N, 2), or one (2,) point) grown by pad on every side.  The
+    box contains every point within pad of a position.
 
     Returns an (N, 2) array (possibly empty).
     """
     if pad <= 0:
         raise ValueError(f"pad must be > 0, got {pad}")
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    lo = positions.min(axis=0) - pad
-    hi = positions.max(axis=0) + pad
-    center = (lo + hi) / 2
+    lo = positions.min(axis=0) - pad - 1e-12
+    hi = positions.max(axis=0) + pad + 1e-12
     pts = grid.occupied_centers()
-    keep = np.all(np.abs(pts - center) <= float(np.max(hi - center)) + 1e-12, axis=1)
-    return pts[keep]
+    return pts[np.all((pts >= lo) & (pts <= hi), axis=1)]
 
 
 def _supercover_cells(grid: OccupancyGrid, a, b) -> np.ndarray:

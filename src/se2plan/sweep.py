@@ -71,18 +71,17 @@ def swept_sdf_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
     bracket of every sampled local minimum, and each point keeps its lowest
     value.  Returns (values (P,), t_stars (P,)).
     """
-    return _swept_sdf(traj, shape, points, spacing_target, np.inf,
-                      _lipschitz_bound(traj, shape))[:2]
+    ts = _coarse_times(traj, _lipschitz_bound(traj, shape), spacing_target)
+    return _swept_sdf(traj, shape, points, ts, spacing_target, np.inf)[:2]
 
 
-def _swept_sdf(traj, shape, points, spacing_target, margin, lip):
-    """swept_sdf_batch with the Lipschitz bound supplied by the caller, refining
-    only the sampled minima below margin + spacing_target; also returns the
-    coarse times (T,) and the coarse values (T, P)."""
+def _swept_sdf(traj, shape, points, ts, spacing_target, margin):
+    """swept_sdf_batch over the caller's coarse times ts (T,), refining only
+    the sampled minima below margin + spacing_target; also returns the coarse
+    values (T, P)."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    ts = _coarse_times(traj, lip, spacing_target)
     if points.shape[0] == 0:
-        return np.zeros(0), np.zeros(0), ts, np.zeros((len(ts), 0))
+        return np.zeros(0), np.zeros(0), np.zeros((len(ts), 0))
     block = max(_COARSE_BLOCK_PAIRS // len(ts), 1)
     vals = np.concatenate([_composed(traj, shape, points[j:j + block], ts[:, None])
                            for j in range(0, points.shape[0], block)], axis=1)  # (T, P)
@@ -103,7 +102,7 @@ def _swept_sdf(traj, shape, points, spacing_target, margin, lip):
         better = first[v_r[first] < out_v[p[first]]]
         out_v[p[better]] = v_r[better]
         out_t[p[better]] = t_r[better]
-    return out_v, out_t, ts, vals
+    return out_v, out_t, vals
 
 
 def _golden_refine_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
@@ -150,14 +149,17 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid) -
     magnitude.  A hit's interval spans its points' arg-min times and the
     coarse samples on either side of those with one of its points inside.
     """
-    ts = np.linspace(0.0, traj.total_duration, 256)
-    pos = traj.eval_many(ts, order=0)[:, :2]
+    spacing = grid.resolution / 2  # SDF spacing target: half a map cell
+    lip = _lipschitz_bound(traj, shape)
+    coarse_ts = _coarse_times(traj, lip, spacing)
+    # the crop is around the poses the check evaluates: between coarse
+    # samples the reference point moves at most spacing / 2, a quarter cell,
+    # inside the pad's one-cell slack
+    pos = traj.eval_many(coarse_ts, order=0)[:, :2]
     points = extract_obstacles(grid, pos, shape.circumradius + grid.resolution)
     if points.shape[0] == 0:
         return CollisionReport("clear")
-    spacing = grid.resolution / 2  # SDF spacing target: half a map cell
-    lip = _lipschitz_bound(traj, shape)
-    vals, t_stars, coarse_ts, coarse_vals = _swept_sdf(traj, shape, points, spacing, 0.0, lip)
+    vals, t_stars, coarse_vals = _swept_sdf(traj, shape, points, coarse_ts, spacing, 0.0)
     bad = np.nonzero(vals < -1e-12)[0]
     if bad.size == 0:
         return CollisionReport("clear")

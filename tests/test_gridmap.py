@@ -147,17 +147,23 @@ def test_extract_obstacles():
 
 def test_extract_obstacles_around_several_positions():
     grid = grid_from_cells(np.ones((10, 10), dtype=bool))
-    positions = np.array([[0.25, 0.25], [0.45, 0.35], [0.3, 0.3]])
-    pts = extract_obstacles(grid, positions, 0.12)
-    # the square around the positions' bounding box: x in [0.13, 0.57],
-    # y in [0.08, 0.52]
-    expected = [(x, y) for x in (0.15, 0.25, 0.35, 0.45, 0.55)
-                for y in (0.15, 0.25, 0.35, 0.45)]
-    assert sorted(map(tuple, np.round(pts, 9))) == sorted(expected)
-    # every centre within pad of some position is in the square
-    centers = grid.occupied_centers()
-    near = np.min(np.linalg.norm(centers[:, None] - positions, axis=2), axis=1) <= 0.12
-    assert {tuple(c) for c in centers[near]} <= {tuple(p) for p in pts}
+    for positions, xs, ys in (
+            # the bounding box grown by the pad: x in [0.13, 0.57],
+            # y in [0.13, 0.47]
+            ([[0.25, 0.25], [0.45, 0.35], [0.3, 0.3]],
+             (0.15, 0.25, 0.35, 0.45, 0.55), (0.15, 0.25, 0.35, 0.45)),
+            # a wide, flat box: x in [0.13, 0.97], y in [0.13, 0.47]; the
+            # square around it would reach y in [-0.12, 0.72]
+            ([[0.25, 0.25], [0.85, 0.35]],
+             (0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95),
+             (0.15, 0.25, 0.35, 0.45))):
+        positions = np.array(positions)
+        pts = extract_obstacles(grid, positions, 0.12)
+        assert sorted(map(tuple, np.round(pts, 9))) == sorted((x, y) for x in xs for y in ys)
+        # every centre within pad of some position is in the box
+        centers = grid.occupied_centers()
+        near = np.min(np.linalg.norm(centers[:, None] - positions, axis=2), axis=1) <= 0.12
+        assert {tuple(c) for c in centers[near]} <= {tuple(p) for p in pts}
 
 
 def test_replaced_grid_does_not_share_the_occupied_centre_cache():
