@@ -335,23 +335,12 @@ def _sub_geometry(sub, v_max: float, n_fixed: int):
     the durations) and state positions.  Waypoints are decimated states, an
     R2 sub's yaws ramp in arc fraction between its junction yaws, and
     durations come from arc length at half v_max."""
-    positions, yaws_raw = sub.states[:, :2], sub.states[:, 2]
+    positions, yaws = sub.states[:, :2], sub.states[:, 2]
     if sub.kind == "R2":
         # translation-dominant slice: interior orientation picks are per-point
         # and can flip between symmetric aliases, so only the junction yaws
-        # are meaningful; take the shortest rotation between them
-        dy = (yaws_raw[-1] - yaws_raw[0] + np.pi) % (2 * np.pi) - np.pi
-        yaws = yaws_raw[0] + _arc_fractions(positions) * dy
-    else:
-        # High-risk orientations are placeholders (no collision-free kernel
-        # yaw exists there); seed them by interpolating between the
-        # surrounding trusted yaws instead
-        trusted = np.array(sub.risks) != "HighRisk"
-        if trusted.any() and not trusted.all():
-            idx_all = np.arange(len(yaws_raw))
-            yaws = np.interp(idx_all, idx_all[trusted], np.unwrap(yaws_raw[trusted]))
-        else:
-            yaws = np.unwrap(yaws_raw)
+        # are meaningful
+        yaws = yaws[0] + _arc_fractions(positions) * (yaws[-1] - yaws[0])
     idx = _decimate_indices(len(positions), _MAX_WAYPOINTS)
     pts = positions[idx]
     if np.all(np.linalg.norm(pts - pts[0], axis=1) < 1e-9):

@@ -5,8 +5,8 @@ certification, splicing, and minimum-control-effort selection.
 Each sub-trajectory is certified where it is solved: an SE(2) solve returns
 the verdict of its own zero-margin continuous check, and an R^2 solve is
 checked here and, on a hit, re-solved in SE(2).  A spliced candidate is clear
-exactly when every piece is, since the sweep of a concatenation is the union
-of the pieces' sweeps and splicing shifts yaw only by whole turns.
+exactly when every piece is, since splicing only concatenates the pieces and
+the sweep of a concatenation is the union of the pieces' sweeps.
 """
 
 from __future__ import annotations
@@ -74,29 +74,23 @@ class SpliceError(ValueError):
 def splice(pieces: list[Trajectory]) -> Trajectory:
     """Concatenate (x, y, yaw) sub-trajectories into one.
 
-    Every sub-problem starts and ends at rest, so adjacent sub-trajectories
-    already share their junction state up to whole turns of yaw, which each
-    sub's own unwrapping may add.  At each junction the next piece's yaw is
-    shifted by the multiple of 2*pi nearest the previous piece's end yaw
-    (whole turns do not move the body), then position, velocity and
-    acceleration are checked to agree within 1e-6, not blended.
+    Adjacent sub-problems share their junction row of the motion sequence's
+    continuous yaw column, and every sub-problem starts and ends at rest, so
+    adjacent sub-trajectories share their junction state.  At each junction
+    position (yaw included), velocity and acceleration are checked to agree
+    within 1e-6, not blended; a yaw a whole turn off is a mismatch too.
     """
     if not pieces:
         raise SpliceError("nothing to splice")
     if {p.dim for p in pieces} != {3}:
         raise SpliceError("pieces must all be (x, y, yaw) trajectories")
-    coeffs = [np.array(pieces[0].coeffs)]
     for k, (a, b) in enumerate(zip(pieces, pieces[1:])):
-        end = basis_many(a.durations[-1], np.arange(3)) @ coeffs[-1][-1]
-        c = np.array(b.coeffs)
-        turns = round((end[0, 2] - c[0, 0, 2]) / (2 * np.pi))
-        if turns:
-            c[:, 0, 2] += 2 * np.pi * turns
-        start = basis_many(0.0, np.arange(3)) @ c[0]
+        end = basis_many(a.durations[-1], np.arange(3)) @ a.coeffs[-1]
+        start = basis_many(0.0, np.arange(3)) @ b.coeffs[0]
         if np.max(np.abs(end - start)) > 1e-6:
             raise SpliceError(f"junction {k} state mismatch (p, v, a): {end} vs {start}")
-        coeffs.append(c)
-    return Trajectory(np.concatenate([p.durations for p in pieces]), np.concatenate(coeffs))
+    return Trajectory(np.concatenate([p.durations for p in pieces]),
+                      np.concatenate([p.coeffs for p in pieces]))
 
 
 def _some_orientation_free(kernel, grid, p) -> bool:

@@ -1,9 +1,9 @@
 """Dense SE(2) motion sequence generation from the shortcut's waypoint
 positions: per-point safe-yaw kernel search (which picks every heading),
-high/low-risk labeling, and extraction of the SE(2) / R^2 sub-problems
-handed to the back-end optimizers.  Nothing in the front end moves a point
-for the body's sake: the kernel labels where the body does not fit, and the
-SE(2) windows solve those high-risk points.
+high/low-risk labeling, one continuous yaw column, and extraction of the
+SE(2) / R^2 sub-problems handed to the back-end optimizers.  Nothing in the
+front end moves a point for the body's sake: the kernel labels where the
+body does not fit, and the SE(2) windows solve those high-risk points.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ _PAD = 5
 
 @dataclass(frozen=True, eq=False)
 class MotionSequence:
-    # (N, 3) rows of (x, y, yaw), read-only; each yaw is a kernel
-    # orientation's (the preferred one for HighRisk)
+    # (N, 3) rows of (x, y, yaw), read-only.  The yaw column is continuous:
+    # low-risk rows hold their kernel yaws, unwrapped along the sequence, and
+    # each high-risk row the index-linear interpolation of the low-risk yaws
+    # around it (its kernel yaw is only a heading placeholder)
     states: np.ndarray
     risks: tuple  # LOW_RISK | HIGH_RISK per row
 
@@ -37,8 +39,9 @@ class MotionSequence:
 @dataclass(frozen=True, eq=False)
 class SubProblem:
     kind: str  # "SE2" | "R2"
-    states: np.ndarray  # a view of contiguous rows of the sequence's states
-    risks: tuple  # the matching labels
+    # a view of contiguous rows of the sequence's states; adjacent
+    # sub-problems share their junction row
+    states: np.ndarray
 
 
 def safe_yaw(p, preferred_k: int, kernel: RobotKernel, grid: OccupancyGrid) -> int | None:
@@ -65,11 +68,13 @@ def generate_sequence(path: np.ndarray, kernel: RobotKernel,
     Each inter-waypoint segment is discretized at grid resolution; every point
     gets the first safe orientation near the segment's heading when one exists
     (low risk), else the heading orientation (high risk, for SE(2)
-    optimization).  Positions are the polyline's own: nothing is repaired
-    here.
+    optimization).  The low-risk yaws are then unwrapped along the sequence
+    and the high-risk ones interpolated between them by index, constant past
+    the first and the last; with no low-risk row the unwrapped placeholders
+    stay.  Positions are the polyline's own: nothing is repaired here.
     """
     path = np.asarray(path, dtype=float)
-    rows, risks = [], []
+    rows, low = [], []
     for a, b in zip(path[:-1], path[1:]):
         pts = discretize_polyline(np.array([a, b]), grid.resolution)
         k0 = kernel.index_of(float(np.arctan2(b[1] - a[1], b[0] - a[0])))
@@ -77,11 +82,17 @@ def generate_sequence(path: np.ndarray, kernel: RobotKernel,
         for p in pts[1 if rows else 0:]:
             free = safe_yaw(p, k0, kernel, grid)
             rows.append((p[0], p[1], kernel.yaw_of(k0 if free is None else free)))
-            risks.append(HIGH_RISK if free is None else LOW_RISK)
+            low.append(free is not None)
     states = np.array(rows, dtype=float).reshape(-1, 3)
+    low = np.array(low, dtype=bool)
+    if low.any():
+        idx = np.arange(len(states))
+        states[:, 2] = np.interp(idx, idx[low], np.unwrap(states[low, 2]))
+    else:
+        states[:, 2] = np.unwrap(states[:, 2])
     # sub-problems are views of these rows: none may edit a shared junction
     states.setflags(write=False)
-    return MotionSequence(states, tuple(risks))
+    return MotionSequence(states, tuple(LOW_RISK if ok else HIGH_RISK for ok in low))
 
 
 def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyGrid,
@@ -99,7 +110,7 @@ def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyG
         raise ValueError("sequence is empty")
     risky = np.array(seq.risks) == HIGH_RISK
     if not np.any(risky):
-        return [SubProblem("R2", seq.states, seq.risks)]
+        return [SubProblem("R2", seq.states)]
 
     def good_junction(i):
         # a centre beyond circumradius + d_safe clears the body by d_safe
@@ -128,8 +139,7 @@ def extract_subproblems(seq: MotionSequence, shape: RobotShape, grid: OccupancyG
         cursor = hi
     if cursor < n - 1:
         cuts.append(("R2", cursor, n - 1))
-    return [SubProblem(kind, seq.states[lo:hi + 1], seq.risks[lo:hi + 1])
-            for kind, lo, hi in cuts]
+    return [SubProblem(kind, seq.states[lo:hi + 1]) for kind, lo, hi in cuts]
 
 
 def _runs(mask: np.ndarray):

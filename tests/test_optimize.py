@@ -9,7 +9,7 @@ from se2plan.minco import MincoSpline, Trajectory, construct, control_effort
 from se2plan.optimize import (DegenerateInputError, Weights, _dynamics_penalty,
                               _safety_penalty, _sigmoid, lbfgs, r2_cost, r2_optimize, se2_cost,
                               se2_optimize, smoothing_grad)
-from se2plan.sequence import HIGH_RISK, LOW_RISK, SubProblem
+from se2plan.sequence import SubProblem
 from se2plan.sweep import CollisionReport, continuous_check
 
 from conftest import empty_grid, grid_from_cells
@@ -285,14 +285,11 @@ def test_r2_cost_is_continuous_in_the_durations():
     assert np.max(np.abs(np.diff(costs) - predicted)) <= 1e-12 * costs.max()
 
 
-def make_sub(kind, positions, yaws=None, risks=None):
-    n = len(positions)
+def make_sub(kind, positions, yaws=None):
     if yaws is None:
-        yaws = [0.0] * n
-    if risks is None:
-        risks = [HIGH_RISK if kind == "SE2" else LOW_RISK] * n
+        yaws = [0.0] * len(positions)
     states = np.column_stack([np.asarray(positions, float), yaws])
-    return SubProblem(kind, states, tuple(risks))
+    return SubProblem(kind, states)
 
 
 def test_r2_optimize_straight_line(slim_rect):
@@ -322,12 +319,13 @@ def test_r2_solve_fixes_yaw_on_its_ramp_and_se2_re_solve_keeps_it_free(monkeypat
 
     monkeypatch.setattr(se2plan.optimize, "lbfgs", recording_lbfgs)
     # nine states, so every state is a waypoint; the junction yaws 3.0 and
-    # -3.0 are 0.283 apart through pi, and the interior yaws are ignored
+    # 2 pi - 3.0 are 0.283 apart through pi, as the sequence's continuous yaw
+    # column stores them, and the interior yaws are ignored
     n = 9
     positions = np.column_stack([np.linspace(0.4, 2.4, n),
                                  1.5 + 0.2 * np.sin(np.linspace(0.0, 3.0, n))])
     yaws = np.concatenate([[3.0], np.random.default_rng(7).uniform(-np.pi, np.pi, n - 2),
-                           [-3.0]])
+                           [2 * np.pi - 3.0]])
     sub = make_sub("R2", positions, yaws)
     traj = r2_optimize(sub, Weights(), budget=40).trajectory
     m = traj.n_pieces
@@ -350,7 +348,7 @@ def test_degenerate_subproblem_raises():
 def test_se2_optimize_free_corridor_near_min_jerk(slim_rect):
     grid = empty_grid(30)
     positions = np.stack([np.linspace(0.6, 2.4, 12), np.full(12, 1.5)], axis=1)
-    sub = make_sub("SE2", positions, risks=[LOW_RISK] * 12)
+    sub = make_sub("SE2", positions)
     weights = Weights()
     out = se2_optimize(sub, weights, slim_rect, grid, budget=120)
     assert out.collision_free
@@ -431,7 +429,7 @@ def se2_rungs(monkeypatch, slim_rect):
     monkeypatch.setattr(se2plan.optimize, "continuous_check", scripted_check)
     monkeypatch.setattr(se2plan.optimize, "lbfgs", recording_lbfgs)
     positions = np.stack([np.linspace(0.6, 2.4, 12), np.full(12, 1.5)], axis=1)
-    sub = make_sub("SE2", positions, risks=[LOW_RISK] * 12)
+    sub = make_sub("SE2", positions)
 
     def run(verdicts):
         record["lam_s"].clear()

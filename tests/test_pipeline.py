@@ -139,20 +139,16 @@ def test_splice_junction_mismatch_raises():
         splice([])
 
 
-def test_splice_shifts_whole_turns_of_yaw_only():
-    # each sub unwraps its own yaw, so the next piece may start whole turns
-    # away from where the previous one ended; a turn does not move the body
+def test_splice_rejects_a_whole_turn_of_yaw():
+    # adjacent sub-problems share their junction row of the sequence's
+    # continuous yaw column, so a piece starting whole turns away from where
+    # the previous one ended is a mismatch, not aligned away
     a = single_piece([0, 0, 0.3], [1, 0, 0.5])
     for turns in (1, -2):
         shift = 2 * np.pi * turns
         b = single_piece([1, 0, 0.5 + shift], [2, 0, 0.2 + shift], T=2.0)
-        out = splice([a, b])
-        assert np.array_equal(out.coeffs[0], a.coeffs[0])
-        assert np.allclose(out.coeffs[1, 0], b.coeffs[0, 0] - [0, 0, shift], atol=1e-12)
-        assert np.array_equal(out.coeffs[1, 1:], b.coeffs[0, 1:])
-        assert np.allclose(out.eval_many([1.0], 0)[0], [1, 0, 0.5], atol=1e-12)
-        assert np.allclose(out.eval_many([3.0], 0)[0], [2, 0, 0.2], atol=1e-12)
-    # a mismatch that is not a whole turn is not aligned away
+        with pytest.raises(SpliceError):
+            splice([a, b])
     b = single_piece([1, 0, 1.0], [2, 0, 0.2])
     with pytest.raises(SpliceError):
         splice([a, b])
@@ -196,7 +192,7 @@ def three_subs(monkeypatch):
     to se2_optimize are recorded, and se2_optimize returns a 2 s solve,
     collision-free for the SE2 sub and with the verdict in `resolve_clear` for
     a re-solved R2 sub."""
-    subs = [SubProblem(kind, np.zeros((0, 3)), ()) for kind in ["R2", "SE2", "R2"]]
+    subs = [SubProblem(kind, np.zeros((0, 3))) for kind in ["R2", "SE2", "R2"]]
     calls = {"se2": [], "checked": [], "resolve_clear": True}
     r2_out = {}
 
