@@ -11,6 +11,7 @@ the sweep of a concatenation is the union of the pieces' sweeps.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -45,8 +46,14 @@ class PlanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("roadmap_budget", "max_paths", "max_candidates", "n_orientations",
-                     "se2_budget", "r2_budget"):
+        counts = ("roadmap_budget", "max_paths", "max_candidates", "n_orientations",
+                  "se2_budget", "r2_budget")
+        for name in counts + ("seed",):
+            value = getattr(self, name)
+            # bool is an Integral, but True is no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.connection_radius is not None and not self.connection_radius > 0:

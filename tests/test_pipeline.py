@@ -15,6 +15,17 @@ FAST = PlanConfig(roadmap_budget=120, max_candidates=1, se2_budget=100,
                   r2_budget=60, seed=0)
 
 
+@pytest.mark.parametrize("name", ["roadmap_budget", "max_paths", "max_candidates",
+                                  "n_orientations", "se2_budget", "r2_budget", "seed"])
+def test_plan_config_counts_and_seed_are_integers(name):
+    # a float, even an integral one, and a bool are rejected when the config
+    # is built, not when plan() reaches the field; numpy integers are counts
+    for value in (2.5, 12.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PlanConfig(**{name: value})
+    assert getattr(PlanConfig(**{name: np.int64(3)}), name) == 3
+
+
 def single_piece(p0, p1, v0=(0, 0, 0), v1=(0, 0, 0), T=1.0):
     start = np.zeros((3, 3))
     end = np.zeros((3, 3))
