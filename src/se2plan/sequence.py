@@ -30,8 +30,10 @@ _PAD = 5
 class MotionSequence:
     # (N, 3) rows of (x, y, yaw), read-only.  The yaw column is continuous:
     # low-risk rows hold their kernel yaws, unwrapped along the sequence, and
-    # each high-risk row the index-linear interpolation of the low-risk yaws
-    # around it (its kernel yaw is only a heading placeholder)
+    # each high-risk row, whose kernel yaw is only a heading placeholder, the
+    # index-linear interpolation of the low-risk yaws around it, constant
+    # past the first and the last (with no low-risk row, the unwrapped
+    # placeholders)
     states: np.ndarray
     risks: tuple  # LOW_RISK | HIGH_RISK per row
 
@@ -68,10 +70,9 @@ def generate_sequence(path: np.ndarray, kernel: RobotKernel,
     Each inter-waypoint segment is discretized at grid resolution; every point
     gets the first safe orientation near the segment's heading when one exists
     (low risk), else the heading orientation (high risk, for SE(2)
-    optimization).  The low-risk yaws are then unwrapped along the sequence
-    and the high-risk ones interpolated between them by index, constant past
-    the first and the last; with no low-risk row the unwrapped placeholders
-    stay.  Positions are the polyline's own: nothing is repaired here.
+    optimization).  The yaw column is then made continuous, as described on
+    MotionSequence.  Positions are the polyline's own: nothing is repaired
+    here.
     """
     path = np.asarray(path, dtype=float)
     rows, low = [], []

@@ -152,9 +152,8 @@ def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid) -
     spacing = grid.resolution / 2  # SDF spacing target: half a map cell
     lip = _lipschitz_bound(traj, shape)
     coarse_ts = _coarse_times(traj, lip, spacing)
-    # the crop is around the poses the check evaluates: between coarse
-    # samples the reference point moves at most spacing / 2, a quarter cell,
-    # inside the pad's one-cell slack
+    # crop around the poses the check samples: between them the reference
+    # point moves at most spacing / 2, a quarter cell, inside the pad's slack
     pos = traj.eval_many(coarse_ts, order=0)[:, :2]
     points = extract_obstacles(grid, pos, shape.circumradius + grid.resolution)
     if points.shape[0] == 0:
