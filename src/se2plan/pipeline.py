@@ -1,6 +1,7 @@
 """Planner orchestration: topology candidates, sequence generation,
-SE(2)-first optimization with discard-on-failure, R^2 fill-in, per-piece
-certification, splicing, and minimum-control-effort selection.
+optimization of each candidate's sub-problems in sequence order with
+discard-on-failure, per-piece certification, splicing, and
+minimum-control-effort selection.
 
 Each sub-trajectory is certified where it is solved: an SE(2) solve returns
 the verdict of its own zero-margin continuous check, and an R^2 solve is
@@ -123,10 +124,11 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
     """Full coarse-to-fine plan from a start pose to a goal pose.
 
     start_pose / goal_pose are finite (x, y, yaw) triples; anything else
-    raises ValueError.  The trajectory reaches the requested positions; the
-    planner picks the headings along it, the start and goal headings
-    included, so the requested yaws are not honoured.  The returned
-    certificate is clear whenever status is "success".
+    raises ValueError.  Positions less than 1e-9 m apart return "no-path".
+    The trajectory reaches the requested positions; the planner picks the
+    headings along it, the start and goal headings included, so the
+    requested yaws are not honoured.  The returned certificate is clear
+    whenever status is "success".
     """
     if config is None:
         config = PlanConfig()
@@ -158,6 +160,10 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
         metrics["len.total"] = metrics["len.r2"] + metrics["len.se2"]
         return result
 
+    # the distance below which _sub_geometry calls a sub-problem degenerate
+    if np.linalg.norm(goal_pose[:2] - start_pose[:2]) < 1e-9:
+        result.failures.append("start and goal positions coincide")
+        return finish()
     r_in = inscribed_radius(shape)
     kernel = build_kernel(shape, config.n_orientations, grid.resolution)
     for name, pose in (("start", start_pose), ("goal", goal_pose)):
@@ -195,32 +201,32 @@ def plan(grid: OccupancyGrid, shape: RobotShape, start_pose, goal_pose,
 
     survivors = []
     for cand_id, seq in sequences:
-        # subs come in sequence order; kinds and trajs are indexed like them
         subs = extract_subproblems(seq, shape, grid, weights.d_safe)
-        kinds = [sub.kind for sub in subs]
-        trajs = [None] * len(subs)
+        kinds, trajs = [], []
         failed = None
-        # SE(2) sub-problems first (stable sort); a single failure discards
-        # the candidate.  An SE(2) solve reports its own zero-margin check;
-        # an R^2 one is checked here and re-solved in SE(2) on a hit
-        for i, sub in sorted(enumerate(subs), key=lambda e: e[1].kind != "SE2"):
+        # sub-problems in sequence order; a single failure discards the
+        # candidate.  An SE(2) solve reports its own zero-margin check; an
+        # R^2 one is checked here and re-solved in SE(2) on a hit
+        for sub in subs:
+            kind = sub.kind
             try:
-                if sub.kind == "R2":
+                if kind == "R2":
                     out = timed("time.r2", r2_optimize, sub, weights, budget=config.r2_budget)
                     if not timed("time.certify", continuous_check, out.trajectory, shape,
                                  grid).clear:
-                        kinds[i] = "R2-reoptimized"
-                if kinds[i] != "R2":
+                        kind = "R2-reoptimized"
+                if kind != "R2":
                     out = timed("time.se2", se2_optimize, sub, weights, shape, grid,
                                 budget=config.se2_budget)
             except DegenerateInputError as e:
                 failed = f"degenerate {sub.kind} sub-problem: {e}"
                 break
-            if kinds[i] != "R2" and not out.collision_free:
-                failed = ("SE2 sub-problem not collision-free" if kinds[i] == "SE2"
+            if kind != "R2" and not out.collision_free:
+                failed = ("SE2 sub-problem not collision-free" if kind == "SE2"
                           else "R2 piece re-optimization failed")
                 break
-            trajs[i] = out.trajectory
+            kinds.append(kind)
+            trajs.append(out.trajectory)
         if failed:
             result.failures.append(f"candidate {cand_id}: {failed}")
             continue

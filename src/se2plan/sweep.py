@@ -4,8 +4,8 @@ The SDF of the volume swept by the robot along an (x, y, yaw) trajectory,
 evaluated at a world point x, is the minimum over time of the body SDF of x
 seen from the pose at that time (RobotShape.sdf_at_pose, the planner's one
 pose composition).  The minimum is located by Lipschitz-spaced coarse time
-sampling followed by golden-section refinement of the bracket around every
-sampled local minimum of each point.
+sampling followed by a sampled zoom into the bracket around every sampled
+local minimum of each point.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .gridmap import OccupancyGrid, extract_obstacles
 from .minco import Trajectory
 from .shape import RobotShape
 
-_GOLDEN = (np.sqrt(5) - 1) / 2
 _REFINE_T_TOL = 1e-9
+_ZOOM_SAMPLES = 33  # times per bracket and round of the refinement's zoom
 _LIPSCHITZ_PROBES = 128  # velocity samples behind the Lipschitz bound
 _MAX_COARSE_SAMPLES = 4096
 # (time sample, obstacle point) pairs per coarse SDF evaluation: bounds the
@@ -67,7 +67,7 @@ def swept_sdf_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
                     spacing_target: float):
     """Vectorized swept SDF for many points.
 
-    Coarse values are shared across points; golden refinement runs on the
+    Coarse values are shared across points; a sampled zoom refines the
     bracket of every sampled local minimum, and each point keeps its lowest
     value.  Returns (values (P,), t_stars (P,)).
     """
@@ -93,8 +93,8 @@ def _swept_sdf(traj, shape, points, ts, spacing_target, margin):
     local_min = (vals < padded[:-2]) & (vals <= padded[2:])
     k, p = np.nonzero(local_min & (vals <= margin + spacing_target))
     if k.size:
-        t_r, v_r = _golden_refine_batch(traj, shape, points[p], ts[np.maximum(k - 1, 0)],
-                                        ts[np.minimum(k + 1, len(ts) - 1)])
+        t_r, v_r = _zoom_refine_batch(traj, shape, points[p], ts[np.maximum(k - 1, 0)],
+                                      ts[np.minimum(k + 1, len(ts) - 1)])
         # the lowest refined value of each point: first of its run after
         # sorting by (point, value)
         order = np.lexsort((v_r, p))
@@ -105,39 +105,24 @@ def _swept_sdf(traj, shape, points, ts, spacing_target, margin):
     return out_v, out_t, vals
 
 
-def _golden_refine_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
-                         lo: np.ndarray, hi: np.ndarray):
-    """Golden-section minimization of the composed SDF over per-point time
-    brackets, iterated in lockstep for all points at once."""
-    def f(ts):
-        return _composed(traj, shape, points, ts)
-
-    a, b = lo.astype(float).copy(), hi.astype(float).copy()
-    c_pt = b - _GOLDEN * (b - a)
-    d_pt = a + _GOLDEN * (b - a)
-    fc, fd = f(c_pt), f(d_pt)
-    span = float(np.max(b - a))
-    n_iter = max(int(np.ceil(np.log(max(span, _REFINE_T_TOL) / _REFINE_T_TOL)
-                             / -np.log(_GOLDEN))), 1)
-    for _ in range(n_iter):
-        left = fc < fd
-        b[left] = d_pt[left]
-        d_pt[left] = c_pt[left]
-        fd[left] = fc[left]
-        c_pt[left] = b[left] - _GOLDEN * (b[left] - a[left])
-        right = ~left
-        a[right] = c_pt[right]
-        c_pt[right] = d_pt[right]
-        fc[right] = fd[right]
-        d_pt[right] = a[right] + _GOLDEN * (b[right] - a[right])
-        fresh = np.where(left, c_pt, d_pt)
-        f_fresh = f(fresh)
-        fc[left] = f_fresh[left]
-        fd[right] = f_fresh[right]
+def _zoom_refine_batch(traj: Trajectory, shape: RobotShape, points: np.ndarray,
+                       lo: np.ndarray, hi: np.ndarray):
+    """Minimize the composed SDF over per-point time brackets by a sampled
+    zoom: sample every bracket at _ZOOM_SAMPLES even times, keep the two
+    intervals around each point's lowest sample, and repeat until every
+    bracket is at most _REFINE_T_TOL wide.  Returns the time and value of
+    each point's lowest sample."""
+    steps = np.linspace(0.0, 1.0, _ZOOM_SAMPLES)
+    rows = np.arange(points.shape[0])
+    a, b = lo, hi
+    while True:
+        ts = a[:, None] * (1 - steps) + b[:, None] * steps  # (P, K), ends exact
+        vals = _composed(traj, shape, points[:, None, :], ts)
+        j = np.argmin(vals, axis=1)
         if np.max(b - a) <= _REFINE_T_TOL:
-            break
-    t = (a + b) / 2
-    return t, f(t)
+            return ts[rows, j], vals[rows, j]
+        a = ts[rows, np.maximum(j - 1, 0)]
+        b = ts[rows, np.minimum(j + 1, _ZOOM_SAMPLES - 1)]
 
 
 def continuous_check(traj: Trajectory, shape: RobotShape, grid: OccupancyGrid) -> CollisionReport:

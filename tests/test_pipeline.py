@@ -59,6 +59,24 @@ def test_plan_rejects_a_malformed_pose(bad, which):
         plan(empty_grid(30), rectangle(0.6, 0.3), config=FAST, **poses)
 
 
+@pytest.mark.parametrize("separation", [0.0, 1e-13, 1e-10])
+def test_plan_rejects_coincident_start_and_goal_positions(separation):
+    # rejected before the kernel, the roadmap and any sub-problem are built
+    result = plan(empty_grid(30), rectangle(0.4, 0.2), (1.5, 1.5, 0.0),
+                  (1.5 + separation, 1.5, 1.0), FAST)
+    assert result.status == "no-path"
+    assert result.failures == ["start and goal positions coincide"]
+    assert result.metrics["status"] == "no-path"
+
+
+def test_plan_start_and_goal_apart_by_more_than_the_tolerance():
+    result = plan(empty_grid(30), rectangle(0.4, 0.2), (1.5, 1.5, 0.0), (1.5 + 1e-8, 1.5, 0.0),
+                  FAST)
+    assert result.status == "success", result.failures
+    end = result.trajectory.eval_many([result.trajectory.total_duration], 0)[0]
+    assert end[:2] == pytest.approx([1.5 + 1e-8, 1.5], abs=1e-12)
+
+
 def test_plan_full_wall_no_path():
     grid = wall_grid(30, wall_ix=15, gaps=())
     shape = rectangle(0.4, 0.2)

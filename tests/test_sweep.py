@@ -6,8 +6,8 @@ import pytest
 from se2plan.minco import construct
 from se2plan.shape import (RobotShape, build_kernel, kernel_collides, parse_shape,
                            polygon_sdf, rectangle, rotation)
-from se2plan.sweep import (_coarse_times, _lipschitz_bound, continuous_check,
-                           swept_boundary_samples, swept_sdf_batch)
+from se2plan.sweep import (_coarse_times, _lipschitz_bound, _zoom_refine_batch,
+                           continuous_check, swept_boundary_samples, swept_sdf_batch)
 
 from conftest import grid_from_cells
 from test_acceptance import dense_min_sdf
@@ -125,6 +125,70 @@ def test_every_sampled_local_minimum_is_refined():
     assert value <= oracle + 1e-9
     assert abs(value - oracle) < 1e-6
     assert t_star == pytest.approx(0.635, abs=0.01)
+
+
+def sdf_over_time(traj, shape, points, ts):
+    """Body SDF of every point at every time, shape (len(ts), P)."""
+    pose = traj.eval_many(ts, 0)
+    return shape.sdf_at_pose(points[None], pose[:, None, :2], pose[:, None, 2])[0]
+
+
+def test_refinement_finds_the_lowest_of_several_minima_in_a_bracket():
+    # a 1.0 x 0.1 m bar turning about 5 rad in 0.3 s: the SDF of a point
+    # 0.3-0.5 m from the turn's centre has kinks where the nearest edge
+    # changes, so one bracket of the coarse grid can hold several local
+    # minima.  Each point's value must be at most the lowest of 20,001
+    # dense samples inside every bracket that is refined (the coarse grid
+    # itself can put a point's global minimum outside all of them)
+    bar = rectangle(1.0, 0.1)
+    rng = np.random.default_rng(7)
+    spacing = 0.05
+    dense_ts = np.linspace(0.0, 0.3, 20001)
+    several = 0
+    for _ in range(10):
+        start = np.zeros((3, 3))
+        end = np.zeros((3, 3))
+        start[0] = [*rng.uniform(-0.2, 0.2, 2), rng.uniform(-np.pi, np.pi)]
+        end[0] = [*rng.uniform(-0.2, 0.2, 2),
+                  start[0, 2] + rng.choice([-1, 1]) * rng.uniform(4.5, 5.5)]
+        _, traj = construct(start, end, np.zeros((0, 3)), [0.3])
+        radius = rng.uniform(0.3, 0.5, 50)
+        angle = rng.uniform(-np.pi, np.pi, 50)
+        points = traj.eval_many([0.15], 0)[0, :2] + np.stack(
+            [radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+        values, _ = swept_sdf_batch(traj, bar, points, spacing)
+        ts = _coarse_times(traj, _lipschitz_bound(traj, bar), spacing)
+        coarse = sdf_over_time(traj, bar, points, ts)
+        # the sampled local minima, each refined over the two intervals around it
+        padded = np.pad(coarse, ((1, 1), (0, 0)), constant_values=np.inf)
+        for k, p in zip(*np.nonzero((coarse < padded[:-2]) & (coarse <= padded[2:]))):
+            lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+            inside = dense_ts[(dense_ts >= lo) & (dense_ts <= hi)]
+            dense = sdf_over_time(traj, bar, points[p:p + 1], inside)[:, 0]
+            assert values[p] <= np.min(dense) + 1e-9
+            interior_minima = (dense[1:-1] < dense[:-2]) & (dense[1:-1] <= dense[2:])
+            several += np.count_nonzero(interior_minima) >= 2
+    assert several >= 4  # the batch does reach brackets with several minima
+
+
+def test_refinement_of_brackets_at_the_trajectory_ends(unit_square):
+    # moving at 1 m/s through both ends, so the first point is nearest the
+    # body at t = 0 only and the second at t = T only
+    start = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    end = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    _, traj = construct(start, end, np.zeros((0, 3)), [2.0])
+    T = traj.total_duration
+    points = np.array([[-0.8, 0.3], [2.8, 0.3]])
+    expected = [composed_at(traj, unit_square, points[0], 0.0),
+                composed_at(traj, unit_square, points[1], T)]
+    # zero-width brackets are sampled once and kept
+    t, v = _zoom_refine_batch(traj, unit_square, points, np.array([0.0, T]), np.array([0.0, T]))
+    assert list(t) == [0.0, T]
+    assert v == pytest.approx(expected, abs=1e-12)
+    # a sampled minimum at an end keeps that end of its bracket exactly
+    values, t_stars = swept_sdf_batch(traj, unit_square, points, 0.05)
+    assert list(t_stars) == [0.0, T]
+    assert values == pytest.approx(expected, abs=1e-12)
 
 
 def dense_overlap(traj, shape, points, n=20001):
