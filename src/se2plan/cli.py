@@ -1,6 +1,5 @@
-"""Command-line harness: run single plans from config documents or benchmark
-a directory of them, emitting metrics documents, trajectory files, and
-optional SVG renderings.
+"""Command-line harness: run single plans from config documents, emitting
+metrics documents, trajectory files, and optional SVG renderings.
 
 Exit codes: 0 success, 2 config/parse error, 3 plan failure, 4 internal error.
 """
@@ -169,14 +168,12 @@ def render_svg(grid: OccupancyGrid, shape: RobotShape, result: PlanResult,
         for outline in swept_boundary_samples(traj, shape, 24):
             pts = " ".join(_svg_point(p, h) for p in outline)
             parts.append(f'<polygon points="{pts}" fill="none" stroke="#bbbbbb" stroke-width="1"/>')
-        kind_of_piece = []
-        for kind, count in zip(result.provenance, result.piece_counts):
-            kind_of_piece.extend([kind] * count)
+        kind_of_piece = np.repeat(result.provenance, result.piece_counts)
         start_times = traj.start_times
         for i in range(traj.n_pieces):
             ts = start_times[i] + np.linspace(0.0, traj.durations[i], 33)
             pos = traj.eval_many(ts, order=0)[:, :2]
-            color = _KIND_COLORS.get(kind_of_piece[i] if i < len(kind_of_piece) else "R2", "#1f77b4")
+            color = _KIND_COLORS[kind_of_piece[i]]
             d = "M " + " L ".join(_svg_point(p, h) for p in pos)
             parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="2"/>')
     parts.append("</svg>")
@@ -206,45 +203,6 @@ def run(config: RunConfig, clock=time.perf_counter) -> int:
     return EXIT_OK if result.status == "success" else EXIT_PLAN
 
 
-def bench(config_dir, reps: int, out_dir=None, clock=time.perf_counter) -> int:
-    """Run every *.cfg in config_dir `reps` times with distinct seeds and
-    write aggregate stage-timing statistics plus the success rate."""
-    if reps < 1:
-        raise ConfigError("reps must be >= 1")
-    config_dir = Path(config_dir)
-    configs = sorted(config_dir.glob("*.cfg"))
-    if not configs:
-        raise ConfigError(f"no *.cfg files in {config_dir}")
-    out_dir = Path(out_dir) if out_dir is not None else config_dir / "bench_out"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    aggregate: dict[str, object] = {}
-    stat_keys = ("time.path_refine", "time.r2", "time.se2", "time.certify",
-                 "time.total", "len.r2", "len.se2", "len.total")
-    for cfg_path in configs:
-        name = cfg_path.stem
-        runs = []
-        successes = 0
-        for rep in range(reps):
-            config = load_run_config(cfg_path, out_dir=out_dir / name / f"rep{rep}",
-                                     seed=rep)
-            grid, shape = _load_world(config)
-            result = plan(grid, shape, config.start, config.goal,
-                          config.plan_config, clock=clock)
-            config.out_dir.mkdir(parents=True, exist_ok=True)
-            (config.out_dir / "metrics.txt").write_text(format_metrics(result.metrics))
-            runs.append(result.metrics)
-            if result.certificate is not None and result.certificate.clear:
-                successes += 1
-        for key in stat_keys:
-            values = np.array([m[key] for m in runs])
-            aggregate[f"{name}.{key}.mean"] = float(values.mean())
-            aggregate[f"{name}.{key}.min"] = float(values.min())
-            aggregate[f"{name}.{key}.max"] = float(values.max())
-        aggregate[f"{name}.success_rate"] = successes / reps
-    (out_dir / "bench.txt").write_text(format_metrics(aggregate))
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="se2plan",
                                      description="Whole-body SE(2) planner harness")
@@ -254,21 +212,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--render", action="store_true")
     p_plan.add_argument("--seed", type=int, default=None)
     p_plan.add_argument("--out", default=None)
-    p_bench = sub.add_parser("bench", help="benchmark a directory of configs")
-    p_bench.add_argument("config_dir")
-    p_bench.add_argument("--reps", type=int, default=1)
-    p_bench.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None, clock=time.perf_counter) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "plan":
-            config = load_run_config(args.config, out_dir=args.out,
-                                     render=args.render, seed=args.seed)
-            return run(config, clock=clock)
-        return bench(args.config_dir, reps=args.reps, out_dir=args.out, clock=clock)
+        config = load_run_config(args.config, out_dir=args.out,
+                                 render=args.render, seed=args.seed)
+        return run(config, clock=clock)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from se2plan.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PLAN, ConfigError,
-                         format_metrics, load_run_config, main)
+                         format_metrics, load_run_config, main, render_svg)
 from se2plan.gridmap import dump_map
-from se2plan.minco import Trajectory
+from se2plan.minco import Trajectory, construct
+from se2plan.pipeline import PlanResult
+from se2plan.shape import rectangle
 
 from conftest import empty_grid, grid_from_cells, wall_grid
 
@@ -45,10 +47,10 @@ def fake_clock():
     return lambda: next(counter) * 1e-3
 
 
-def write_scene(tmp_path, grid, name="run.cfg", cfg_text=None):
+def write_scene(tmp_path, grid, cfg_text=None):
     (tmp_path / "world.map").write_text(dump_map(grid))
     (tmp_path / "robot.shape").write_text(SHAPE_TEXT)
-    cfg = tmp_path / name
+    cfg = tmp_path / "run.cfg"
     cfg.write_text(cfg_text or CFG_TEMPLATE.format(map_name="world.map"))
     return cfg
 
@@ -208,6 +210,20 @@ def test_render_svg_structure(tmp_path):
     assert root.findall(f"{ns}polygon")  # swept outlines are drawn
 
 
+def test_render_svg_colours_each_piece_by_its_provenance(tmp_path):
+    start = np.zeros((3, 3))
+    end = np.zeros((3, 3))
+    end[0] = [3, 0, 0]
+    _, traj = construct(start, end, np.array([[1.0, 0, 0], [2.0, 0, 0]]), [1.0, 1.0, 1.0])
+    result = PlanResult("success", trajectory=traj,
+                        provenance=["R2", "SE2", "R2-reoptimized"], piece_counts=[1, 1, 1])
+    svg = tmp_path / "trajectory.svg"
+    render_svg(empty_grid(40), rectangle(0.4, 0.2), result, svg)
+    root = ET.fromstring(svg.read_text())
+    strokes = [p.get("stroke") for p in root.findall("{http://www.w3.org/2000/svg}path")]
+    assert strokes == ["#1f77b4", "#d62728", "#ff7f0e"]
+
+
 def test_byte_identical_reruns_with_fixed_clock(tmp_path):
     cfg = write_scene(tmp_path, empty_grid(30))
     outputs = []
@@ -221,24 +237,11 @@ def test_byte_identical_reruns_with_fixed_clock(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_bench_aggregates(tmp_path):
-    write_scene(tmp_path, empty_grid(30), name="easy.cfg")
-    out = tmp_path / "bench"
-    code = main(["bench", str(tmp_path), "--reps", "2", "--out", str(out)],
-                clock=fake_clock())
-    assert code == EXIT_OK
-    text = (out / "bench.txt").read_text()
-    assert "easy.success_rate = 1" in text
-    for key in ("time.certify", "time.total", "len.total"):
-        for stat in ("mean", "min", "max"):
-            assert f"easy.{key}.{stat} = " in text
-    assert (out / "easy" / "rep0" / "metrics.txt").exists()
-    assert (out / "easy" / "rep1" / "metrics.txt").exists()
-
-
-def test_bench_empty_dir_is_config_error(tmp_path):
-    (tmp_path / "empty").mkdir()
-    assert main(["bench", str(tmp_path / "empty")]) == EXIT_CONFIG
+def test_bench_subcommand_is_gone(tmp_path):
+    # benchmarking is bench/run.py's job, which checks each plan with its own oracle
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_format_metrics_sorted_and_stable():
